@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json metrics-smoke scale-smoke ckpt-smoke table1 table2 sweeps demo fmt
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json perfbench-test metrics-smoke scale-smoke ckpt-smoke table1 table2 sweeps demo fmt
 
 all: build vet lint test race
 
@@ -116,6 +116,12 @@ bench-smoke:
 	| $(GO) run ./cmd/benchdiff -emit -tag ci-smoke > /tmp/bench-smoke.json
 	$(GO) run ./cmd/benchdiff -old /tmp/bench-smoke.json -new /tmp/bench-smoke.json
 
+# The pipeline benchmark (perfbench/) is a module of its own, so the root
+# `go test ./...` never compiles it; vet and test it here against the
+# current sources (its go.mod replaces lowmemroute with ../).
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # End-to-end check of the live metrics pipeline: run a small routebench
 # sweep with -pprof on an ephemeral port, scrape /metrics during
 # -pprof-hold, and validate the exposition (format + required families)
@@ -124,7 +130,7 @@ metrics-smoke:
 	./scripts/metrics-smoke.sh
 
 # Scale-harness smoke (experiment E12): one fast full-build cell through the
-# streaming-CSR → topology-backed simulator → core.Build path, then a
+# streaming-CSR → simulator → core.Build path, then a
 # 2^15-vertex substrate probe (generation + engine boot + bounded 64-hop
 # exploration) at a size where a full Õ(√n)-round build would not fit a CI
 # budget. Both run under a hard timeout so a scaling regression fails the

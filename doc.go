@@ -68,7 +68,8 @@
 // The deeper layers live under internal/: the CONGEST simulator
 // (internal/congest) with its zero-allocation round engine, the fault
 // model it consults at delivery time (internal/faults), graph algorithms
-// and generators (internal/graph), hopsets with path recovery
+// and generators (internal/graph: the mutable Graph builds a network, the
+// immutable CSR is the one representation the simulator runs on), hopsets with path recovery
 // (internal/hopset), tree routing (internal/treeroute), the paper's
 // general-graph scheme (internal/core), degraded-mode packet forwarding
 // (internal/router), the centralized Thorup-Zwick reference (internal/tz),

@@ -22,7 +22,8 @@ type EN16bScheme struct {
 	// PivotRoots[j][v] is v's level-j pivot.
 	PivotRoots [][]int
 
-	n       int
+	n int
+	// weights[c] is tree c's member-indexed up-edge weights (UpWeights).
 	weights map[int][]float64
 }
 
@@ -44,7 +45,8 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: k=%d < 1", k)
 	}
-	g := sim.Graph()
+	topo := sim.Topo()
+	g := topo.ToGraph()
 	ref, err := tz.Build(g, tz.Options{K: k, Seed: opts.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: EN16b structure: %w", err)
@@ -96,7 +98,7 @@ func BuildEN16b(sim *congest.Simulator, opts Options) (*EN16bScheme, error) {
 		}
 		s.Trees[c] = tree
 		s.TreeSchemes[c] = ts
-		s.weights[c] = tree.TreeWeights(g)
+		s.weights[c] = tree.UpWeights(topo)
 	}
 
 	// Pivot roots per level, straight from the reference labels.
@@ -155,11 +157,11 @@ func (s *EN16bScheme) Route(src, dst int) ([]int, float64, error) {
 		weights := s.weights[root]
 		var total float64
 		for i := 1; i < len(path); i++ {
+			child := path[i]
 			if tree.Parent(path[i-1]) == path[i] {
-				total += weights[path[i-1]]
-			} else {
-				total += weights[path[i]]
+				child = path[i-1]
 			}
+			total += weights[tree.MemberIndex(child)]
 		}
 		return path, total, nil
 	}

@@ -87,7 +87,7 @@ func New(k, n int) *Scheme {
 // looked up in the host topology and stored member-indexed (one word per
 // member, not per host vertex), so a scheme holding thousands of cluster
 // trees stays O(total membership).
-func (s *Scheme) AddTree(center int, tree *graph.Tree, host graph.Topology, ts *treeroute.Scheme) {
+func (s *Scheme) AddTree(center int, tree *graph.Tree, host *graph.CSR, ts *treeroute.Scheme) {
 	s.ClusterTrees[center] = tree
 	s.weights[center] = tree.UpWeights(host)
 	for _, v := range tree.Members() {

@@ -56,11 +56,11 @@ func TestSchemeRoutesInSingleTree(t *testing.T) {
 
 func TestSchemeRouteWeightMatchesTreePath(t *testing.T) {
 	s, g, tree := buildSingleTreeScheme(t, 60, 3)
-	weights := tree.TreeWeights(g)
+	weights := tree.UpWeights(graph.FromGraph(g))
 	depth := make([]float64, g.N())
 	for _, v := range tree.PreOrder() {
 		if v != tree.Root {
-			depth[v] = depth[tree.Parent(v)] + weights[v]
+			depth[v] = depth[tree.Parent(v)] + weights[tree.MemberIndex(v)]
 		}
 	}
 	r := rand.New(rand.NewSource(4))

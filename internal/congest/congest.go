@@ -59,13 +59,10 @@ type StepFunc func(v int, ctx *Ctx)
 // edges and owns every per-round structure; see the engine file comment for
 // the layout and the determinism argument.
 type Simulator struct {
-	g *graph.Graph
-
-	// topo is the read-only adjacency the engine compiles and handlers
-	// iterate. Graph-backed simulators (New) leave it nil and lazily bridge
-	// through Topo(); topology-backed simulators (NewTopo) carry only this
-	// and never materialise a *graph.Graph — the million-vertex path.
-	topo graph.Topology
+	// topo is the immutable communication graph: the engine compiles it and
+	// handlers iterate it. A *graph.Graph is only ever the builder that
+	// produced it (New compacts one on the way in).
+	topo *graph.CSR
 
 	d        int // hop-diameter bound used for broadcast cost accounting
 	capacity int // words per directed edge per round
@@ -98,8 +95,8 @@ type Simulator struct {
 	// execution for A/B testing.
 	ffOff bool
 
-	workers int
-	rng     *rand.Rand
+	shards int
+	rng    *rand.Rand
 
 	// tracer, when non-nil, receives one RoundSample per simulated round
 	// and per analytically-charged primitive. Disabled tracing costs one
@@ -111,19 +108,13 @@ type Simulator struct {
 	// strictly observational and costs one nil check per round when off.
 	obs *obsHooks
 
-	// topoBridge caches the compact bridge Topo() hands out for
-	// graph-backed simulators, invalidated when the graph changes shape.
-	topoBridge               *graph.CSR
-	topoBridgeN, topoBridgeM int
-
-	// CSR index over directed edges, compiled by ensureTopology and
-	// rebuilt only when the adjacency changes shape (topoN/topoM mismatch).
-	topoN, topoM int
-	outStart     []int32 // per sender: offsets into outTo
-	outTo        []int32 // destinations, ascending per sender, deduplicated
-	inStart      []int32 // per destination: offsets into inEdges
-	inEdges      []int32 // incoming directed edge ids, ascending-sender order
-	inPos        []int32 // directed edge id -> its slot in inEdges
+	// CSR index over directed edges, compiled once by ensureTopology on
+	// the first Run (or checkpoint operation), so construction stays cheap.
+	outStart []int32 // per sender: offsets into outTo
+	outTo    []int32 // destinations, ascending per sender, deduplicated
+	inStart  []int32 // per destination: offsets into inEdges
+	inEdges  []int32 // incoming directed edge ids, ascending-sender order
+	inPos    []int32 // directed edge id -> its slot in inEdges
 
 	// Per-directed-edge queues plus the dirty-destination bookkeeping:
 	// dirtyIn's region [inStart[v], inStart[v]+dirtyCnt[v]) lists the
@@ -180,25 +171,21 @@ type Simulator struct {
 // Option configures a Simulator.
 type Option func(*Simulator)
 
-// WithWorkers sets the number of goroutines executing each round.
-func WithWorkers(w int) Option {
+// WithShards sets the number of parallel execution shards (default
+// GOMAXPROCS). A shard owns a contiguous vertex range — those vertices'
+// handler steps, inboxes, dirty worklists and payload arena — and
+// cross-shard traffic merges at the per-round barrier in canonical
+// (destination, sender, edge-sequence) order, so every observable quantity
+// is byte-identical at any shard count (pinned by
+// TestRunWorkerCountInvariance and the core trace test). Shards and the
+// step-phase worker pool are the same partition.
+func WithShards(p int) Option {
 	return func(s *Simulator) {
-		if w > 0 {
-			s.workers = w
+		if p > 0 {
+			s.shards = p
 		}
 	}
 }
-
-// WithShards sets the number of parallel execution shards. A shard owns a
-// contiguous vertex range — those vertices' handler steps, inboxes, dirty
-// worklists and payload arena — and cross-shard traffic merges at the
-// per-round barrier in canonical (destination, sender, edge-sequence) order,
-// so every observable quantity is byte-identical at any shard count (pinned
-// by TestRunWorkerCountInvariance and the core trace test). Shards and the
-// step-phase worker pool are the same partition; WithShards and WithWorkers
-// are therefore aliases, with WithShards the vocabulary of the scale
-// tooling (routebench -shards).
-func WithShards(p int) Option { return WithWorkers(p) }
 
 // WithSeed sets the seed of the simulator's deterministic RNG.
 func WithSeed(seed int64) Option {
@@ -253,54 +240,24 @@ func WithIdleFastForward(on bool) Option {
 	return func(s *Simulator) { s.ffOff = !on }
 }
 
-// New creates a simulator over communication graph g.
-func New(g *graph.Graph, opts ...Option) *Simulator {
-	s := &Simulator{
-		g:        g,
-		d:        1,
-		capacity: DefaultEdgeCapacity,
-		inbox:    make([][]Message, g.N()),
-		meters:   make([]Meter, g.N()),
-		workers:  runtime.GOMAXPROCS(0),
-		rng:      rand.New(rand.NewSource(1)),
-	}
-	if g.N() > 0 {
-		if ub, err := g.HopRadiusUpperBound(); err == nil {
-			s.d = ub
-		}
-	}
-	if s.d < 1 {
-		s.d = 1
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
+// New creates a simulator over communication graph g, compacted into the
+// CSR the engine runs on; later changes to g are not seen.
+func New(g *graph.Graph, opts ...Option) *Simulator { return NewTopo(graph.FromGraph(g), opts...) }
 
-// NewTopo creates a simulator directly over a compact read-only topology
-// (typically a *graph.CSR from a streaming generator). No *graph.Graph is
-// ever materialised: handlers iterate adjacency through Topo, and Graph()
-// returns nil. Everything else — options, determinism, accounting — matches
-// New exactly, and for the same adjacency the two constructors produce
-// byte-identical runs.
-func NewTopo(t graph.Topology, opts ...Option) *Simulator {
+// NewTopo creates a simulator over the immutable topology t (typically
+// from a streaming generator, or FromGraph of a built graph).
+func NewTopo(t *graph.CSR, opts ...Option) *Simulator {
 	s := &Simulator{
 		topo:     t,
 		d:        1,
 		capacity: DefaultEdgeCapacity,
 		inbox:    make([][]Message, t.N()),
 		meters:   make([]Meter, t.N()),
-		workers:  runtime.GOMAXPROCS(0),
+		shards:   runtime.GOMAXPROCS(0),
 		rng:      rand.New(rand.NewSource(1)),
 	}
-	if t.N() > 0 {
-		if ub, err := graph.TopoHopRadiusUpperBound(t); err == nil {
-			s.d = ub
-		}
-	}
-	if s.d < 1 {
-		s.d = 1
+	if ub, err := t.HopRadiusUpperBound(); err == nil {
+		s.d = max(ub, 1)
 	}
 	for _, o := range opts {
 		o(s)
@@ -308,49 +265,18 @@ func NewTopo(t graph.Topology, opts ...Option) *Simulator {
 	return s
 }
 
-// Graph returns the communication graph, or nil for a topology-backed
-// simulator (NewTopo). Handler code should prefer Topo, which works for
-// both; Graph remains for reference paths (Dijkstra, baselines) that need
-// the mutable structure.
-func (s *Simulator) Graph() *graph.Graph { return s.g }
-
-// Topo returns the read-only adjacency of the communication graph. For a
-// topology-backed simulator this is the topology it was built over; for a
-// graph-backed one it is a compact bridge compiled on first use and
-// refreshed if the graph changes shape (same heuristic as the engine's
-// directed-edge index). The per-vertex neighbor order equals
-// Graph.Neighbors order, so handlers iterating either surface produce
-// byte-identical message streams.
-func (s *Simulator) Topo() graph.Topology {
-	if s.topo != nil {
-		return s.topo
-	}
-	if s.topoBridge == nil || s.topoBridgeN != s.g.N() || s.topoBridgeM != s.g.M() {
-		s.topoBridge = graph.FromGraph(s.g)
-		s.topoBridgeN, s.topoBridgeM = s.g.N(), s.g.M()
-	}
-	return s.topoBridge
-}
+// Topo returns the communication graph. Its per-vertex neighbor order is
+// the order edges were added, which every handler observes.
+func (s *Simulator) Topo() *graph.CSR { return s.topo }
 
 // N returns the number of processors.
-func (s *Simulator) N() int {
-	if s.g != nil {
-		return s.g.N()
-	}
-	return s.topo.N()
-}
+func (s *Simulator) N() int { return s.topo.N() }
 
 // Diameter returns the hop-diameter bound used for broadcast accounting.
 func (s *Simulator) Diameter() int { return s.d }
 
-// Shards returns the number of parallel execution shards (== the worker
-// pool width; see WithShards).
-func (s *Simulator) Shards() int {
-	if s.workers < 1 {
-		return 1
-	}
-	return s.workers
-}
+// Shards returns the number of parallel execution shards (see WithShards).
+func (s *Simulator) Shards() int { return max(s.shards, 1) }
 
 // Rounds returns the total number of rounds charged so far.
 func (s *Simulator) Rounds() int64 { return s.rounds }
@@ -408,15 +334,10 @@ func (s *Simulator) ensureFaults() *faults.Compiled {
 			s.faultPlan = nil
 			return nil
 		}
-		shards := s.workers
-		if shards < 1 {
-			shards = 1
-		}
-		s.shardFault = make([]faults.Counters, shards)
-		s.shardSpike = make([][]faults.Spike, shards)
+		s.shardFault = make([]faults.Counters, s.Shards())
+		s.shardSpike = make([][]faults.Spike, s.Shards())
 	}
-	// Callers run ensureTopology first, so queues is current here; track it
-	// if the graph grew between Runs.
+	// Callers run ensureTopology first, so queues is sized here.
 	if len(s.faultQ) != len(s.queues) {
 		s.faultQ = make([]edgeFaultState, len(s.queues))
 	}

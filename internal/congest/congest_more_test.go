@@ -118,8 +118,8 @@ func TestSimulatorAccessors(t *testing.T) {
 	if s.N() != 3 {
 		t.Fatalf("N=%d", s.N())
 	}
-	if s.Graph() != g {
-		t.Fatal("Graph accessor")
+	if tp := s.Topo(); tp.N() != g.N() || tp.M() != g.M() || !tp.HasEdge(1, 2) {
+		t.Fatal("Topo accessor")
 	}
 	if s.Diameter() < 2 {
 		t.Fatalf("D=%d", s.Diameter())

@@ -101,7 +101,7 @@ func TestInboxDeterministicOrder(t *testing.T) {
 	n := 200
 	g := graph.Star(n, graph.UnitWeights, rand.New(rand.NewSource(1)))
 	for trial := 0; trial < 3; trial++ {
-		s := New(g, WithWorkers(8))
+		s := New(g, WithShards(8))
 		leaves := make([]int, 0, n-1)
 		for v := 1; v < n; v++ {
 			leaves = append(leaves, v)
@@ -394,7 +394,7 @@ func TestWorkersProduceSameResultAsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) ([]float64, int64) {
-		s := New(g, WithWorkers(workers))
+		s := New(g, WithShards(workers))
 		dist := make([]float64, g.N())
 		for i := range dist {
 			dist[i] = graph.Infinity

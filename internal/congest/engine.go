@@ -5,8 +5,8 @@ package congest
 // sorted by (sender, send order), deterministic active sets), zero
 // steady-state allocation, and parallel delivery that cannot race.
 //
-// Topology is compiled once per graph shape into a CSR (compressed sparse
-// row) index over the *directed* edges of the communication graph:
+// The simulator's CSR topology is compiled once, on the first Run, into an
+// index over the *directed* edges of the communication graph:
 //
 //   outStart/outTo  per-sender edge lists, destinations ascending, parallel
 //                   edges deduplicated (they share one queue and therefore
@@ -102,20 +102,14 @@ func (q *edgeQueue) compact() {
 	}
 }
 
-// ensureTopology (re)compiles the CSR edge index and sizes every recycled
-// buffer. It runs on the first Run and again only if the graph changed
-// shape; steady-state Runs see a single integer comparison.
+// ensureTopology compiles the directed-edge index and sizes every recycled
+// buffer. It runs once, on the first Run (or checkpoint operation), so
+// constructing a simulator stays cheap; later calls see one nil check.
 func (s *Simulator) ensureTopology() {
-	var n, m int
-	if s.g != nil {
-		n, m = s.g.N(), s.g.M()
-	} else {
-		n, m = s.topo.N(), s.topo.M()
-	}
-	if s.topoN == n && s.topoM == m && s.outStart != nil {
+	if s.outStart != nil {
 		return
 	}
-	s.topoN, s.topoM = n, m
+	n, m := s.topo.N(), s.topo.M()
 
 	// Outgoing CSR: destinations sorted ascending per sender, parallel
 	// edges deduplicated so they share one queue (and one budget).
@@ -123,14 +117,8 @@ func (s *Simulator) ensureTopology() {
 	outTo := make([]int32, 0, 2*m)
 	for u := 0; u < n; u++ {
 		start := len(outTo)
-		if s.g != nil {
-			for _, nb := range s.g.Neighbors(u) {
-				outTo = append(outTo, int32(nb.To))
-			}
-		} else {
-			ts, _ := s.topo.NeighborRange(u)
-			outTo = append(outTo, ts...)
-		}
+		ts, _ := s.topo.NeighborRange(u)
+		outTo = append(outTo, ts...)
 		seg := outTo[start:]
 		slices.Sort(seg)
 		w := 0
@@ -175,10 +163,7 @@ func (s *Simulator) ensureTopology() {
 	s.inboxMax = make([]int32, n)
 	s.epoch = 0
 
-	shards := s.workers
-	if shards < 1 {
-		shards = 1
-	}
+	shards := s.Shards()
 	s.shardBlock = (n + shards - 1) / shards
 	if s.shardBlock < 1 {
 		s.shardBlock = 1
@@ -189,15 +174,6 @@ func (s *Simulator) ensureTopology() {
 	s.shardMsgs = make([]int64, shards)
 	s.shardWords = make([]int64, shards)
 	s.shardArena = make([]wordArena, shards)
-
-	// A graph that grew since New needs wider inboxes and meters; existing
-	// meter readings are preserved.
-	for len(s.inbox) < n {
-		s.inbox = append(s.inbox, nil)
-	}
-	for len(s.meters) < n {
-		s.meters = append(s.meters, Meter{})
-	}
 }
 
 // edgeID returns the directed-edge id of from->to, or -1 if the vertices are
@@ -319,7 +295,7 @@ func (s *Simulator) Run(initial []int, maxRounds int, step StepFunc) int {
 		// Deliveries made now are processed next round; fault windows are
 		// evaluated against that arrival round.
 		s.faultClock = baseRounds + int64(round) + 1
-		if s.workers > 1 && pending >= serialThreshold {
+		if s.shards > 1 && pending >= serialThreshold {
 			var wg sync.WaitGroup
 			for sh := range s.shardCur {
 				if len(s.shardCur[sh]) == 0 {
@@ -417,15 +393,15 @@ func (s *Simulator) runRound(round int, step StepFunc) {
 	if len(act) > len(s.ctxs) {
 		s.ctxs = append(s.ctxs, make([]Ctx, len(act)-len(s.ctxs))...)
 	}
-	if s.workers <= 1 || len(act) < serialThreshold {
+	if s.shards <= 1 || len(act) < serialThreshold {
 		for i := range act {
 			s.stepVertex(i, round, step, &s.arena)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	chunk := (len(act) + s.workers - 1) / s.workers
-	for w := 0; w < s.workers; w++ {
+	chunk := (len(act) + s.shards - 1) / s.shards
+	for w := 0; w < s.shards; w++ {
 		lo := w * chunk
 		if lo >= len(act) {
 			break

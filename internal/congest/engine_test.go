@@ -41,7 +41,7 @@ func TestRunWorkerCountInvariance(t *testing.T) {
 	}
 	runOnce := func(workers int) result {
 		g := graph.Torus(side, side, graph.UnitWeights, rand.New(rand.NewSource(3)))
-		s := New(g, WithWorkers(workers))
+		s := New(g, WithShards(workers))
 		all := make([]int, g.N())
 		for v := range all {
 			all[v] = v

@@ -28,7 +28,7 @@ type floodResult struct {
 // runFlood executes the worker-invariance flood workload under opts.
 func runFlood(workers, floodRounds int, opts ...Option) floodResult {
 	g := graph.Torus(8, 8, graph.UnitWeights, rand.New(rand.NewSource(3)))
-	s := New(g, append([]Option{WithWorkers(workers)}, opts...)...)
+	s := New(g, append([]Option{WithShards(workers)}, opts...)...)
 	all := make([]int, g.N())
 	for v := range all {
 		all[v] = v

@@ -141,9 +141,10 @@ func TestTracingIsObservational(t *testing.T) {
 				seen[v] = true
 				ctx.Mem().Charge(2)
 				ctx.Mem().Spike(5)
-				for _, u := range s.Graph().Neighbors(v) {
-					if !seen[u.To] {
-						ctx.Send(u.To, Payload{}, 1)
+				to, _ := s.Topo().NeighborRange(v)
+				for _, u := range to {
+					if !seen[u] {
+						ctx.Send(int(u), Payload{}, 1)
 					}
 				}
 			}

@@ -109,7 +109,7 @@ func TestRelayReceivedPayloadVerbatim(t *testing.T) {
 // allocation.
 func TestExtTrafficSteadyStateAllocFree(t *testing.T) {
 	g := graph.Path(8, graph.UnitWeights, rand.New(rand.NewSource(1)))
-	s := New(g, WithWorkers(1))
+	s := New(g, WithShards(1))
 	const kindBlob PayloadKind = 5
 	initial := []int{0}
 	step := func(v int, ctx *Ctx) {

@@ -186,8 +186,8 @@ func (ck *Checkpointer) Attach(sim *Simulator) error {
 	r := trace.NewWordReader(ck.engineWords)
 	r.Word() // version, checked at load
 	r.Word() // flags
-	if n := r.Int(); n != sim.topoN {
-		return fmt.Errorf("congest: checkpoint %s is for n=%d, simulator has n=%d", ck.path, n, sim.topoN)
+	if n := r.Int(); n != sim.N() {
+		return fmt.Errorf("congest: checkpoint %s is for n=%d, simulator has n=%d", ck.path, n, sim.N())
 	}
 	if ne := r.Int(); ne != len(sim.outTo) {
 		return fmt.Errorf("congest: checkpoint %s is for %d directed edges, simulator has %d", ck.path, ne, len(sim.outTo))
@@ -363,7 +363,7 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 		flags |= engineFlagMid
 	}
 	dst = append(dst, engineCkptVersion, flags,
-		uint64(int64(s.topoN)), uint64(int64(len(s.outTo))), uint64(int64(s.capacity)),
+		uint64(int64(s.N())), uint64(int64(len(s.outTo))), uint64(int64(s.capacity)),
 		uint64(s.rounds), uint64(s.messages), uint64(s.words))
 	for i := range s.meters {
 		m := &s.meters[i]
@@ -459,8 +459,8 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		return fmt.Errorf("congest: engine section version %d, want %d", v, engineCkptVersion)
 	}
 	flags := r.Word()
-	if n := r.Int(); n != s.topoN {
-		return fmt.Errorf("congest: engine section n=%d, simulator n=%d", n, s.topoN)
+	if n := r.Int(); n != s.N() {
+		return fmt.Errorf("congest: engine section n=%d, simulator n=%d", n, s.N())
 	}
 	if ne := r.Int(); ne != len(s.outTo) {
 		return fmt.Errorf("congest: engine section has %d directed edges, simulator %d", ne, len(s.outTo))
@@ -512,7 +512,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	s.actList = s.actList[:0]
 	for i := 0; i < alen; i++ {
 		v := r.Int()
-		if v < 0 || v >= s.topoN {
+		if v < 0 || v >= s.N() {
 			return fmt.Errorf("congest: checkpoint active vertex %d out of range", v)
 		}
 		s.actList = append(s.actList, int32(v))
@@ -534,7 +534,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	for i := 0; i < nd; i++ {
 		v := r.Int()
 		cnt := r.Int()
-		if v < 0 || v >= s.topoN || cnt < 0 || int(s.inStart[v])+cnt > int(s.inStart[v+1]) {
+		if v < 0 || v >= s.N() || cnt < 0 || int(s.inStart[v])+cnt > int(s.inStart[v+1]) {
 			return fmt.Errorf("congest: checkpoint dirty destination %d with %d edges out of range", v, cnt)
 		}
 		base := int(s.inStart[v])

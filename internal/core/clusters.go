@@ -394,7 +394,7 @@ func (g *clusterGrowth) grow(level int, roots []int) error {
 			acc := src.dist
 			for i := 1; i < len(path); i++ {
 				u, prev := path[i], path[i-1]
-				wgt, okw := graph.TopoEdgeWeight(b.topo, prev, u)
+				wgt, okw := b.topo.EdgeWeight(prev, u)
 				if !okw {
 					return fmt.Errorf("core: recovery path hop {%d,%d} not an edge", prev, u)
 				}

@@ -186,7 +186,7 @@ func (b *builder) timed(name string, phase func() error) error {
 
 type builder struct {
 	sim  *congest.Simulator
-	topo graph.Topology
+	topo *graph.CSR
 	n    int
 	k    int
 	o    Options

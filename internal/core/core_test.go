@@ -164,14 +164,14 @@ func TestClusterTreesAreShortestPathLike(t *testing.T) {
 	s, _ := buildScheme(t, g, k, 32)
 	for root, tree := range s.ClusterTrees {
 		exact := g.Dijkstra(root)
-		weights := tree.TreeWeights(g)
+		weights := s.TreeWeights(root)
 		depths := make(map[int]float64)
 		for _, v := range tree.PreOrder() {
 			if v == root {
 				depths[v] = 0
 				continue
 			}
-			depths[v] = depths[tree.Parent(v)] + weights[v]
+			depths[v] = depths[tree.Parent(v)] + weights[tree.MemberIndex(v)]
 		}
 		for _, v := range tree.Members() {
 			if depths[v] < exact.Dist[v]-1e-9 {

@@ -43,7 +43,7 @@ func TestBuildTraceByteIdentical(t *testing.T) {
 		}
 		rec := trace.NewRecorder()
 		opts := []congest.Option{congest.WithSeed(seed), congest.WithTrace(rec),
-			congest.WithWorkers(workers)}
+			congest.WithShards(workers)}
 		if faultOpt != nil {
 			opts = append(opts, faultOpt)
 		}

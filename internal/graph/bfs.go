@@ -78,20 +78,6 @@ func (g *Graph) HopDiameter() (int, error) {
 	return d, nil
 }
 
-// HopRadiusUpperBound returns 2·ecc(0), a cheap upper bound on the hop
-// diameter usable by algorithms that only need "some" D. Returns
-// ErrDisconnected for disconnected graphs.
-func (g *Graph) HopRadiusUpperBound() (int, error) {
-	if g.N() == 0 {
-		return 0, nil
-	}
-	ecc, all := g.BFS(0).Eccentricity()
-	if !all {
-		return 0, ErrDisconnected
-	}
-	return 2 * ecc, nil
-}
-
 // ShortestPathDiameter computes S, the maximum over all pairs (u,v) of the
 // minimum hop count among shortest (by weight) u-v paths. This is the
 // quantity the running time of [LP15]'s scheme depends on. Quadratic work;

@@ -17,8 +17,7 @@ import (
 // weight values whenever the graph has at most 65536 distinct weights
 // (every generator family in this repo is far below that); otherwise a
 // plain []float64 fallback is kept. Either way ArcWeight returns the exact
-// float64 the edge was added with, so CSR-backed builds are byte-identical
-// to *Graph-backed builds.
+// float64 the edge was added with.
 //
 // Footprint: 4(n+1) + 4·2m bytes of structure plus 2·2m bytes of weight
 // classes — about 12 bytes per undirected edge, versus ~24 bytes plus a
@@ -56,6 +55,70 @@ func (c *CSR) ArcWeight(a int) float64 {
 	return c.classes[c.wcls[a]]
 }
 
+// EdgeWeight returns the weight of the lightest edge {u,v} and whether one
+// exists.
+func (c *CSR) EdgeWeight(u, v int) (float64, bool) {
+	if u < 0 || u >= c.N() {
+		return 0, false
+	}
+	to, base := c.NeighborRange(u)
+	best, ok := 0.0, false
+	for i, x := range to {
+		if int(x) == v {
+			if w := c.ArcWeight(base + i); !ok || w < best {
+				best, ok = w, true
+			}
+		}
+	}
+	return best, ok
+}
+
+// HasEdge reports whether an edge {u,v} exists.
+func (c *CSR) HasEdge(u, v int) bool {
+	if u < 0 || u >= c.N() {
+		return false
+	}
+	to, _ := c.NeighborRange(u)
+	for _, x := range to {
+		if int(x) == v {
+			return true
+		}
+	}
+	return false
+}
+
+// HopRadiusUpperBound returns 2·ecc(0), a cheap upper bound on the hop
+// diameter usable by algorithms that only need "some" D. Returns
+// ErrDisconnected for disconnected topologies.
+func (c *CSR) HopRadiusUpperBound() (int, error) {
+	n := c.N()
+	if n == 0 {
+		return 0, nil
+	}
+	hops := make([]int32, n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	hops[0] = 0
+	queue := make([]int32, 1, n)
+	ecc := int32(0)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		to, _ := c.NeighborRange(int(u))
+		for _, v := range to {
+			if hops[v] == -1 {
+				hops[v] = hops[u] + 1
+				ecc = max(ecc, hops[v])
+				queue = append(queue, v)
+			}
+		}
+	}
+	if len(queue) != n {
+		return 0, ErrDisconnected
+	}
+	return 2 * int(ecc), nil
+}
+
 // WeightClasses returns the number of distinct edge weights, or 0 when the
 // class table was abandoned for the float64 fallback.
 func (c *CSR) WeightClasses() int { return len(c.classes) }
@@ -69,8 +132,8 @@ func (c *CSR) MemoryBytes() int64 {
 }
 
 // ToGraph expands the CSR back into a mutable *Graph with identical
-// adjacency order and weights — the bridge that lets small-n reference
-// paths (Dijkstra, baselines, seed tests) run against a CSR-built topology.
+// adjacency order and weights, for the small-n reference paths (Dijkstra,
+// baselines, tests) that need the mutable form.
 func (c *CSR) ToGraph() *Graph {
 	n := c.N()
 	g := New(n)

@@ -41,82 +41,6 @@ func ErdosRenyi(n int, p float64, w WeightFunc, r *rand.Rand) *Graph {
 	return g
 }
 
-// RandomGeometric places n points uniformly in the unit square and connects
-// pairs within distance radius, weighting each edge by its Euclidean length
-// (scaled by 1000 and floored at 1 to keep weights positive). A backbone
-// path over the points sorted by x-coordinate keeps the graph connected.
-func RandomGeometric(n int, radius float64, r *rand.Rand) *Graph {
-	type pt struct{ x, y float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{r.Float64(), r.Float64()}
-	}
-	g := New(n)
-	dist := func(a, b pt) float64 {
-		dx, dy := a.x-b.x, a.y-b.y
-		return math.Sqrt(dx*dx + dy*dy)
-	}
-	weight := func(d float64) float64 { return math.Max(1, d*1000) }
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if d := dist(pts[u], pts[v]); d <= radius {
-				g.MustAddEdge(u, v, weight(d))
-			}
-		}
-	}
-	// Connect by stitching components along the x-sorted order.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && pts[order[j]].x < pts[order[j-1]].x; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	comp := g.components()
-	for i := 1; i < n; i++ {
-		u, v := order[i-1], order[i]
-		if comp[u] != comp[v] {
-			g.MustAddEdge(u, v, weight(dist(pts[u], pts[v])))
-			old, nw := comp[u], comp[v]
-			for x := range comp {
-				if comp[x] == old {
-					comp[x] = nw
-				}
-			}
-		}
-	}
-	return g
-}
-
-func (g *Graph) components() []int {
-	comp := make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	for s := 0; s < g.N(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		stack := []int{s}
-		comp[s] = c
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nb := range g.adj[u] {
-				if comp[nb.To] == -1 {
-					comp[nb.To] = c
-					stack = append(stack, nb.To)
-				}
-			}
-		}
-		c++
-	}
-	return comp
-}
-
 // Grid generates a rows×cols grid with the given weights. Hop diameter is
 // rows+cols-2, which makes it a good "large D" stress case.
 func Grid(rows, cols int, w WeightFunc, r *rand.Rand) *Graph {
@@ -294,7 +218,7 @@ func Generate(f Family, n int, r *rand.Rand) (*Graph, error) {
 	case FamilyErdosRenyi:
 		return ErdosRenyi(n, erdosRenyiDefaultP(n), IntegerWeights(100), r), nil
 	case FamilyGeometric:
-		return RandomGeometric(n, geometricDefaultRadius(n), r), nil
+		return RandomGeometricCSR(n, geometricDefaultRadius(n), r).ToGraph(), nil
 	case FamilyGrid:
 		rows, cols := gridDefaultDims(n)
 		return Grid(rows, cols, IntegerWeights(10), r), nil

@@ -14,7 +14,7 @@ func TestGeneratorsConnectedAndValid(t *testing.T) {
 		n    int
 	}{
 		{"erdos-renyi", ErdosRenyi(100, 0.05, IntegerWeights(10), r), 100},
-		{"geometric", RandomGeometric(100, 0.2, r), 100},
+		{"geometric", RandomGeometricCSR(100, 0.2, r).ToGraph(), 100},
 		{"grid", Grid(8, 9, UnitWeights, r), 72},
 		{"torus", Torus(6, 6, UnitWeights, r), 36},
 		{"barabasi-albert", BarabasiAlbert(100, 3, UnitWeights, r), 100},

@@ -232,7 +232,7 @@ func TestBFSAndHopDiameter(t *testing.T) {
 	if d != 4-1+5-1 {
 		t.Fatalf("grid diameter=%d want 7", d)
 	}
-	ub, err := g.HopRadiusUpperBound()
+	ub, err := FromGraph(g).HopRadiusUpperBound()
 	if err != nil {
 		t.Fatalf("HopRadiusUpperBound: %v", err)
 	}

@@ -112,13 +112,13 @@ func streamBarabasiAlbert(n, m int, w WeightFunc, r *rand.Rand, emit func(u, v i
 	}
 }
 
-// streamGeometric emits the random geometric graph with O(n) scratch: the
-// n points are drawn exactly as RandomGeometric draws them, but pair
-// discovery uses a radius-sized cell grid instead of the O(n^2) all-pairs
-// scan. Edges come out in the same order — u ascending, v ascending within
-// u — with the same weights, and the connectivity stitch along the
-// x-sorted order is replayed with a union-find instead of component
-// relabelling, producing the identical stitch-edge sequence.
+// streamGeometric emits the random geometric graph with O(n) scratch: n
+// points uniform in the unit square (x then y per point), every pair within
+// radius joined by an edge weighted max(1, 1000·length). Pair discovery
+// uses a radius-sized cell grid; edges come out u ascending, v ascending
+// within u. A stitch pass along the x-sorted point order (stable in vertex
+// id) then joins consecutive points in different union-find components, so
+// the result is always connected.
 func streamGeometric(n int, radius float64, r *rand.Rand, emit func(u, v int, wt float64)) {
 	xs := make([]float64, n)
 	ys := make([]float64, n)
@@ -268,8 +268,8 @@ func BarabasiAlbertCSR(n, m int, w WeightFunc, r *rand.Rand) *CSR {
 }
 
 // RandomGeometricCSR builds the random geometric graph directly into a CSR
-// using O(n) cell-bucket scratch instead of the O(n^2) all-pairs scan,
-// bit-identical to FromGraph(RandomGeometric(n, radius, r)).
+// using O(n) cell-bucket scratch; Generate's geometric family expands it
+// with ToGraph.
 func RandomGeometricCSR(n int, radius float64, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(n)
 	streamGeometric(n, radius, r, b.AddEdge)

@@ -476,40 +476,19 @@ func SpanningTree(g *Graph, root int, kind string, r *rand.Rand) (*Tree, error) 
 	}
 }
 
-// TreeWeights returns, for each member v other than the root, the weight of
-// the tree edge (v, parent(v)) looked up in the host graph g; missing edges
-// get weight 1 (trees built over virtual edges). The slice is indexed by
-// host vertex id — prefer the member-indexed UpWeights for anything kept
-// alive per tree.
-func (t *Tree) TreeWeights(g *Graph) []float64 {
-	w := make([]float64, t.hostN)
-	for i, v32 := range t.verts {
-		v := int(v32)
-		if v == t.Root {
-			continue
-		}
-		if wt, ok := g.EdgeWeight(v, int(t.verts[t.parSlot[i]])); ok {
-			w[v] = wt
-		} else {
-			w[v] = 1
-		}
-	}
-	return w
-}
-
 // UpWeights returns, for each member slot i (addressed via MemberIndex),
 // the weight of the tree edge (Members()[i], parent) looked up in the host
 // topology; the root slot gets 0 and missing edges get weight 1 (trees
 // built over virtual edges). Member-indexed, so a scheme retaining one
 // slice per cluster tree stays O(total membership).
-func (t *Tree) UpWeights(host Topology) []float64 {
+func (t *Tree) UpWeights(host *CSR) []float64 {
 	w := make([]float64, len(t.verts))
 	for i, v32 := range t.verts {
 		v := int(v32)
 		if v == t.Root {
 			continue
 		}
-		if wt, ok := TopoEdgeWeight(host, v, int(t.verts[t.parSlot[i]])); ok {
+		if wt, ok := host.EdgeWeight(v, int(t.verts[t.parSlot[i]])); ok {
 			w[i] = wt
 		} else {
 			w[i] = 1

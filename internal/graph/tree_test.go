@@ -184,17 +184,24 @@ func TestSpanningTreeDisconnected(t *testing.T) {
 	}
 }
 
+// TestTreeWeights checks the member-indexed up-edge weights: the lightest
+// of parallel host edges, and weight 1 for a tree edge the host lacks.
 func TestTreeWeights(t *testing.T) {
-	g := New(3)
+	g := New(4)
 	g.MustAddEdge(0, 1, 5)
 	g.MustAddEdge(1, 2, 7)
-	tr, err := NewTree(0, []int{NoVertex, 0, 1})
+	g.MustAddEdge(1, 0, 3)
+	tr, err := NewTree(0, []int{NoVertex, 0, 1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := tr.TreeWeights(g)
-	if w[1] != 5 || w[2] != 7 {
-		t.Fatalf("TreeWeights=%v", w)
+	c := FromGraph(g)
+	if !c.HasEdge(2, 1) || c.HasEdge(3, 0) || c.HasEdge(-1, 0) {
+		t.Fatal("HasEdge disagrees with the host edges")
+	}
+	w := tr.UpWeights(c)
+	if w[0] != 0 || w[1] != 3 || w[2] != 7 || w[3] != 1 {
+		t.Fatalf("UpWeights=%v, want [0 3 7 1]", w)
 	}
 }
 

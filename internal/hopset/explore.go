@@ -126,7 +126,7 @@ const (
 // concurrent use; create one per goroutine.
 type Explorer struct {
 	sim     *congest.Simulator
-	topo    graph.Topology
+	topo    *graph.CSR
 	state   [][]RootEntry
 	seeds   []Source
 	initial []int
@@ -262,9 +262,9 @@ func (e *Explorer) forward(v int, st *RootEntry, ctx *congest.Ctx) {
 	if e.limit != nil && !e.limit(v, st.Root, st.Dist) {
 		return
 	}
-	// Iterate the compact topology surface: same neighbor order as
-	// Graph.Neighbors, so the message stream is byte-identical on either
-	// substrate.
+	// Neighbors come in the CSR's adjacency order (the order edges were
+	// added), which fixes the message stream; arc base+i's weight is an
+	// array read.
 	to, base := e.topo.NeighborRange(v)
 	for i, nb := range to {
 		ctx.Send(int(nb), congest.Payload{

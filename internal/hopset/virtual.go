@@ -27,7 +27,7 @@ import (
 // E' is never materialised; algorithms explore it through B-bounded
 // Bellman-Ford searches in G.
 type VirtualGraph struct {
-	host     *graph.Graph // nil for topology-backed virtual graphs
+	host     *graph.Graph // nil unless built by NewVirtualGraph
 	hostN    int
 	members  []int
 	isMember []bool
@@ -45,7 +45,7 @@ func NewVirtualGraph(host *graph.Graph, members []int, b int) (*VirtualGraph, er
 	return vg, nil
 }
 
-// NewVirtualGraphN is NewVirtualGraph for topology-backed builds: the
+// NewVirtualGraphN is NewVirtualGraph for distributed builds: the
 // virtual graph records only the host size, never a *graph.Graph. The
 // distributed machinery (hopset construction, Bellman-Ford) needs nothing
 // more — only the centralized reference paths (Materialize, ExactDistances)

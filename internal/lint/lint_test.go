@@ -157,8 +157,8 @@ func TestExtOwnershipFixture(t *testing.T) {
 	runFixture(t, "extownership", []string{"extownership"})
 }
 
-// TestCSRTopoFixture covers the compact-topology accessor surface
-// (graph.Topology / graph.CSR): reads of the shared CSR arrays are free for
+// TestCSRTopoFixture covers the simulator's topology accessor surface
+// (*graph.CSR): reads of the shared CSR arrays are free for
 // LM002, copies into retained vertex state are not, and LM006's arena
 // ownership rules survive NeighborRange fan-out loops unchanged.
 func TestCSRTopoFixture(t *testing.T) {

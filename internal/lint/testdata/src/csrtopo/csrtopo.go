@@ -1,15 +1,14 @@
 //lint:simulator
 package csrtopo
 
-// Fixture for the compact-topology accessor surface (graph.Topology /
-// graph.CSR): handlers that walk NeighborRange and ArcWeight instead of
-// Graph.Neighbors. Two contracts are pinned here. For LM002, reading the
-// shared CSR arrays is free (they are host-side graph storage, not vertex
-// state), but copying adjacency into retained per-vertex state is an
-// allocation like any other and must be charged. For LM006, an engine-owned
-// payload Ext slice stays tracked through a NeighborRange loop — forwarding
-// logic that fans a received payload out to CSR neighbors must still
-// copy-before-retain.
+// Fixture for the simulator's topology accessor surface (*graph.CSR):
+// handlers that walk NeighborRange and ArcWeight. Two contracts are pinned
+// here. For LM002, reading the shared CSR arrays is free (they are
+// host-side graph storage, not vertex state), but copying adjacency into
+// retained per-vertex state is an allocation like any other and must be
+// charged. For LM006, an engine-owned payload Ext slice stays tracked
+// through a NeighborRange loop — forwarding logic that fans a received
+// payload out to CSR neighbors must still copy-before-retain.
 
 import (
 	"lowmemroute/internal/congest"
@@ -24,7 +23,7 @@ type st struct {
 
 // walk only reads the topology: the NeighborRange slice and ArcWeight values
 // are shared CSR storage, so nothing here allocates and LM002 stays silent.
-func walk(v int, ctx *congest.Ctx, topo graph.Topology, s *st) float64 {
+func walk(v int, ctx *congest.Ctx, topo *graph.CSR, s *st) float64 {
 	to, base := topo.NeighborRange(v)
 	var sum float64
 	for i, u := range to {
@@ -36,15 +35,15 @@ func walk(v int, ctx *congest.Ctx, topo graph.Topology, s *st) float64 {
 
 // retain copies adjacency into per-vertex state and charges the copy: the
 // CSR arrays are free to read, the retained copy is vertex memory.
-func retain(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
+func retain(v int, ctx *congest.Ctx, topo *graph.CSR, s *st) {
 	to, _ := topo.NeighborRange(v)
 	s.nbrs = append(s.nbrs, to...)
 	ctx.Mem().Charge(int64(len(to)))
 }
 
 // retainUnmetered makes the same copies with no charge in the function:
-// every retained shape is flagged exactly as on the Graph path.
-func retainUnmetered(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
+// every retained shape is flagged exactly as for any other state.
+func retainUnmetered(v int, ctx *congest.Ctx, topo *graph.CSR, s *st) {
 	to, base := topo.NeighborRange(v)
 	s.nbrs = append(s.nbrs, to...)       // want `append allocates`
 	s.byArc[base] = topo.ArcWeight(base) // want `map insert retains state`
@@ -55,8 +54,8 @@ func retainUnmetered(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
 // fanOut relays a received payload to every CSR neighbor. The Ext slice is
 // engine-owned: storing it across the loop is an escape, writing through it
 // corrupts the arena, but re-sending it and copy-before-retain are fine —
-// exactly the Graph-path rules, unchanged by the accessor surface.
-func fanOut(v int, ctx *congest.Ctx, topo graph.Topology, s *st) {
+// the usual Ext rules, unchanged by the accessor surface.
+func fanOut(v int, ctx *congest.Ctx, topo *graph.CSR, s *st) {
 	in := ctx.In()
 	to, _ := topo.NeighborRange(v)
 	ctx.Mem().Charge(1) // the copy-before-retain below is vertex memory

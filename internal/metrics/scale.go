@@ -66,7 +66,7 @@ type ScaleConfig struct {
 
 // RunScale generates the instance straight into CSR form (no slice-of-slices
 // graph is ever materialised), runs the paper's distributed construction on
-// the topology-backed simulator, and measures the row.
+// a simulator over it, and measures the row.
 func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	row := &ScaleRow{Family: cfg.Family, N: cfg.N, K: cfg.K}
 
@@ -195,8 +195,8 @@ type ProbeConfig struct {
 	Ckpt *congest.Checkpointer
 }
 
-// RunSubstrateProbe streams an n-vertex instance into CSR form, boots the
-// topology-backed simulator (which materialises its full directed-edge
+// RunSubstrateProbe streams an n-vertex instance into CSR form, boots a
+// simulator over it (whose first Run materialises the full directed-edge
 // engine state), and runs one hop-bounded set-source exploration.
 func RunSubstrateProbe(cfg ProbeConfig) (*ProbeRow, error) {
 	row := &ProbeRow{Family: cfg.Family, N: cfg.N}

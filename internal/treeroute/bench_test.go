@@ -27,7 +27,7 @@ func benchWorkload(tb testing.TB) (*congest.Simulator, []*graph.Tree) {
 		}
 		trees = append(trees, tr)
 	}
-	return congest.New(g, congest.WithSeed(7), congest.WithWorkers(1)), trees
+	return congest.New(g, congest.WithSeed(7), congest.WithShards(1)), trees
 }
 
 // BenchmarkLightPipeline measures the full Section 3 construction pipeline

@@ -63,7 +63,7 @@ func BuildDistributed(sim *congest.Simulator, trees []*graph.Tree, opts DistOpti
 			return nil, fmt.Errorf("treeroute: tree %d host size %d != graph size %d", j, t.HostSize(), n)
 		}
 		for _, v := range t.Members() {
-			if p := t.Parent(v); p != graph.NoVertex && !graph.TopoHasEdge(topo, v, p) {
+			if p := t.Parent(v); p != graph.NoVertex && !topo.HasEdge(v, p) {
 				return nil, fmt.Errorf("treeroute: tree %d edge {%d,%d} is not a graph edge", j, v, p)
 			}
 		}

@@ -143,7 +143,7 @@ func TestDistributedWorkerCountInvariance(t *testing.T) {
 	}
 	var rounds []int64
 	for _, workers := range []int{1, 4} {
-		sim := congest.New(g, congest.WithSeed(12), congest.WithWorkers(workers))
+		sim := congest.New(g, congest.WithSeed(12), congest.WithShards(workers))
 		res, err := BuildDistributed(sim, []*graph.Tree{tr}, DistOptions{Seed: 12})
 		if err != nil {
 			t.Fatal(err)

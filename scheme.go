@@ -41,12 +41,6 @@ type Config struct {
 	// observational: the scheme and Report are identical with or without
 	// it.
 	Metrics *Metrics
-	// DataPlane, when true, compiles the built tables into the flat-array
-	// forwarding data plane (see Compile) and serves Scheme.Route from it:
-	// paths and weights are byte-identical, lookups are allocation-free
-	// array walks instead of map-chasing. Equivalent to calling Compile
-	// yourself and routing through the returned DataPlane.
-	DataPlane bool
 }
 
 // Report summarises the distributed construction's cost in the CONGEST
@@ -96,9 +90,6 @@ type Scheme struct {
 	// lookups, when non-nil (Config.Metrics was set), receives each
 	// Route call's wall latency in nanoseconds.
 	lookups *obs.Histogram
-	// dp, when non-nil (Config.DataPlane was set), serves Route from the
-	// compiled flat-array tables.
-	dp *DataPlane
 }
 
 // Build runs the full distributed construction of Theorem 3 on a simulated
@@ -160,33 +151,19 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 			Faults:             publicFaultReport(sim.FaultCounters()),
 		},
 	}
-	if cfg.DataPlane {
-		dp, err := Compile(sch)
-		if err != nil {
-			return nil, err
-		}
-		sch.dp = dp
-	}
 	return sch, nil
 }
 
 // Route forwards a message from src to dst using only src's table, dst's
 // label, and the tables of intermediate nodes - exactly the routing phase
-// of the scheme. With Config.DataPlane set the walk runs over the compiled
-// flat-array tables (same paths and weights, no per-hop map lookups).
+// of the scheme. Compile the scheme for allocation-free flat-array walks
+// with the same paths and weights.
 func (s *Scheme) Route(src, dst int) (Path, error) {
 	var began time.Time
 	if s.lookups != nil {
 		began = time.Now()
 	}
-	var nodes []int
-	var w float64
-	var err error
-	if s.dp != nil {
-		nodes, w, err = s.dp.RouteAppend(src, dst, nil)
-	} else {
-		nodes, w, err = s.inner.Route(src, dst)
-	}
+	nodes, w, err := s.inner.Route(src, dst)
 	if s.lookups != nil {
 		s.lookups.Record(int64(time.Since(began)))
 	}
@@ -205,13 +182,7 @@ func (s *Scheme) RouteAppend(src, dst int, nodes []int) ([]int, float64, error) 
 	if s.lookups != nil {
 		began = time.Now()
 	}
-	var w float64
-	var err error
-	if s.dp != nil {
-		nodes, w, err = s.dp.RouteAppend(src, dst, nodes)
-	} else {
-		nodes, w, err = s.inner.RouteAppend(src, dst, nodes)
-	}
+	nodes, w, err := s.inner.RouteAppend(src, dst, nodes)
 	if s.lookups != nil {
 		s.lookups.Record(int64(time.Since(began)))
 	}
