@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json perfbench-test metrics-smoke scale-smoke ckpt-smoke table1 table2 sweeps demo fmt
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json perfbench-test metrics-smoke scale-smoke ckpt-smoke fuzz-wire table1 table2 sweeps demo fmt
 
 all: build vet lint test race
 
@@ -61,12 +61,19 @@ bench:
 # row), rendered as BENCH_$(BENCH_TAG).json. The committed BENCH_PR10.json
 # was produced by `make bench-json BENCH_TAG=PR10`; BENCH_PR9.json is the
 # PR 9 trajectory point it was gated against.
+#
+# Every bench runs with -cpu 1 (GOMAXPROCS=1), the setting the committed
+# snapshots were recorded at, so the gate gives the same verdict on any core
+# count: the engine spawns per-worker goroutines when it has more than one
+# CPU, and BenchmarkRunFlood's allocs/op grow with GOMAXPROCS (14 at one
+# CPU, ~90 at two). Benchmark names are unchanged (benchfmt strips the -N
+# suffix).
 BENCH_TAG ?= local
 HANDLER_BENCHES = BenchmarkBellmanFordSteady|BenchmarkClusterGrowth|BenchmarkLightPipeline
 bench-json:
-	{ $(GO) test -bench 'BenchmarkRunFlood|BenchmarkRunSparse|BenchmarkDelivery' -benchmem ./internal/congest; \
-	  $(GO) test -bench '$(HANDLER_BENCHES)' -benchmem ./internal/hopset ./internal/core ./internal/treeroute; \
-	  $(GO) test -bench 'BenchmarkTable[12]' -benchtime 1x -benchmem .; } \
+	{ $(GO) test -cpu 1 -bench 'BenchmarkRunFlood|BenchmarkRunSparse|BenchmarkDelivery' -benchmem ./internal/congest; \
+	  $(GO) test -cpu 1 -bench '$(HANDLER_BENCHES)' -benchmem ./internal/hopset ./internal/core ./internal/treeroute; \
+	  $(GO) test -cpu 1 -bench 'BenchmarkTable[12]' -benchtime 1x -benchmem .; } \
 	| $(GO) run ./cmd/benchdiff -emit -tag $(BENCH_TAG) > BENCH_$(BENCH_TAG).json
 	@echo wrote BENCH_$(BENCH_TAG).json
 
@@ -108,13 +115,22 @@ bench-dataplane-json:
 
 # One iteration of every micro-benchmark plus a snapshot round-trip through
 # cmd/benchdiff: catches benchmarks that no longer compile and bench output
-# the harness can no longer parse, without trusting noisy timings.
+# the harness can no longer parse, without trusting noisy timings. The
+# benches bench-json gates run at -cpu 1 as there; the data-plane benches
+# keep the host's GOMAXPROCS, as in bench-dataplane (RunParallel).
 bench-smoke:
-	{ $(GO) test -bench 'BenchmarkRunFlood|BenchmarkRunSparse|BenchmarkDelivery' -benchtime 1x -benchmem ./internal/congest; \
-	  $(GO) test -bench '$(HANDLER_BENCHES)' -benchtime 1x -benchmem ./internal/hopset ./internal/core ./internal/treeroute; \
+	{ $(GO) test -cpu 1 -bench 'BenchmarkRunFlood|BenchmarkRunSparse|BenchmarkDelivery' -benchtime 1x -benchmem ./internal/congest; \
+	  $(GO) test -cpu 1 -bench '$(HANDLER_BENCHES)' -benchtime 1x -benchmem ./internal/hopset ./internal/core ./internal/treeroute; \
 	  $(GO) test -bench '$(DATAPLANE_BENCHES)' -benchtime 1x -benchmem ./internal/dataplane/...; } \
 	| $(GO) run ./cmd/benchdiff -emit -tag ci-smoke > /tmp/bench-smoke.json
 	$(GO) run ./cmd/benchdiff -old /tmp/bench-smoke.json -new /tmp/bench-smoke.json
+
+# Fuzz the label and table wire decoders (internal/wire) for 15 s each:
+# every input a decoder accepts must re-encode to the same bytes. A failing
+# input is saved under internal/wire/testdata/fuzz and replays in `make test`.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLabel$$' -fuzztime 15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 15s ./internal/wire
 
 # The pipeline benchmark (perfbench/) is a module of its own, so the root
 # `go test ./...` never compiles it; vet and test it here against the

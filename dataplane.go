@@ -23,21 +23,23 @@ type DataPlane struct {
 	eng    *dataplane.Engine
 }
 
-// Compile flattens the scheme's routing tables and labels into a DataPlane.
-// The compiled table is a snapshot: it serves lookups independently of the
-// scheme afterwards (call Rebuild to re-snapshot).
+// Compile returns the scheme's data plane, serving the flat table Build
+// compiled from its routing tables and labels; it does not compile again.
+// The table is a snapshot: it serves lookups independently of the scheme
+// afterwards (call Rebuild to re-snapshot).
 func Compile(s *Scheme) (*DataPlane, error) {
 	if s == nil || s.inner == nil {
 		return nil, fmt.Errorf("lowmemroute: Compile of a nil scheme")
 	}
 	return &DataPlane{
 		scheme: s,
-		eng:    dataplane.NewEngine(dataplane.Compile(s.inner.Scheme)),
+		eng:    dataplane.NewEngine(s.inner.Compiled()),
 	}, nil
 }
 
-// Lookup makes one forwarding decision at src toward dst. Allocation-free;
-// safe for unlimited concurrent use.
+// Lookup makes one forwarding decision at src toward dst. A src or dst
+// outside [0, Nodes()) gets the no-route decision (Next, Root and Entry
+// all -1). Allocation-free; safe for unlimited concurrent use.
 func (d *DataPlane) Lookup(src int, dst Label) NextHop {
 	return d.eng.Table().Lookup(src, dst)
 }
@@ -50,8 +52,9 @@ func (d *DataPlane) LookupBatch(src int, dst []Label, out []NextHop) int {
 	return d.eng.Table().LookupBatch(src, dst, out)
 }
 
-// Route walks src → dst through the compiled table. Paths and weights are
-// byte-identical to Scheme.Route.
+// Route walks src → dst through the compiled table. It is the walk
+// Scheme.Route makes, served from this data plane's current snapshot; an
+// endpoint outside [0, Nodes()) is an error.
 func (d *DataPlane) Route(src, dst int) (Path, error) {
 	nodes, w, err := d.eng.Table().Route(src, dst)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
@@ -38,7 +39,8 @@ func TestLP15SelfRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, w, err := s.Route(3, 3)
+	tab := dataplane.Compile(s)
+	path, w, err := tab.Route(3, 3)
 	if err != nil || len(path) != 1 || w != 0 {
 		t.Fatalf("self route: %v %v %v", path, w, err)
 	}

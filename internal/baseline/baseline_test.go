@@ -6,6 +6,7 @@ import (
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 )
 
@@ -26,6 +27,7 @@ func TestLP15RoutesWithBoundedStretch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab := dataplane.Compile(s)
 		exact := g.AllPairs()
 		bound := float64(4*k - 3)
 		r := rand.New(rand.NewSource(int64(k)))
@@ -34,7 +36,7 @@ func TestLP15RoutesWithBoundedStretch(t *testing.T) {
 			if u == v {
 				continue
 			}
-			_, w, err := s.Route(u, v)
+			_, w, err := tab.Route(u, v)
 			if err != nil {
 				t.Fatalf("k=%d route %d->%d: %v", k, u, v, err)
 			}

@@ -1,16 +1,22 @@
-package clusterroute
+package clusterroute_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"lowmemroute/internal/clusterroute"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/treeroute"
 )
 
+// These tests hand-build schemes and route them through a compiled table,
+// the only forwarding code; a scheme edited after compiling must be
+// compiled again.
+
 // buildSingleTreeScheme wraps one spanning tree as a one-cluster scheme:
 // routing should then be exact tree routing.
-func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.Graph, *graph.Tree) {
+func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*clusterroute.Scheme, *graph.Graph, *graph.Tree) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	g, err := graph.Generate(graph.FamilyErdosRenyi, n, r)
@@ -21,7 +27,7 @@ func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(1, n)
+	s := clusterroute.New(1, n)
 	ts := treeroute.BuildCentralized(tree)
 	s.AddTree(0, tree, graph.FromGraph(g), ts)
 	for v := 0; v < n; v++ {
@@ -32,10 +38,11 @@ func buildSingleTreeScheme(t *testing.T, n int, seed int64) (*Scheme, *graph.Gra
 
 func TestSchemeRoutesInSingleTree(t *testing.T) {
 	s, g, tree := buildSingleTreeScheme(t, 80, 1)
+	tab := dataplane.Compile(s)
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 80; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		path, w, err := s.Route(u, v)
+		path, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -56,6 +63,7 @@ func TestSchemeRoutesInSingleTree(t *testing.T) {
 
 func TestSchemeRouteWeightMatchesTreePath(t *testing.T) {
 	s, g, tree := buildSingleTreeScheme(t, 60, 3)
+	tab := dataplane.Compile(s)
 	weights := tree.UpWeights(graph.FromGraph(g))
 	depth := make([]float64, g.N())
 	for _, v := range tree.PreOrder() {
@@ -66,7 +74,7 @@ func TestSchemeRouteWeightMatchesTreePath(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 60; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +101,7 @@ func TestSchemeNoCommonCluster(t *testing.T) {
 	// Two disjoint single-vertex "clusters": no route exists.
 	g := graph.New(2)
 	g.MustAddEdge(0, 1, 1)
-	s := New(1, 2)
+	s := clusterroute.New(1, 2)
 	t0, err := graph.NewTree(0, []int{graph.NoVertex, graph.NoVertex})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +114,7 @@ func TestSchemeNoCommonCluster(t *testing.T) {
 	s.AddTree(1, t1, graph.FromGraph(g), treeroute.BuildCentralized(t1))
 	s.AddLabelEntry(0, 0, 0, treeroute.BuildCentralized(t0))
 	s.AddLabelEntry(1, 0, 1, treeroute.BuildCentralized(t1))
-	if _, _, err := s.Route(0, 1); err == nil {
+	if _, _, err := dataplane.Compile(s).Route(0, 1); err == nil {
 		t.Fatal("expected no-common-cluster error")
 	}
 }
@@ -127,7 +135,7 @@ func TestSchemeLevelPreference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(2, g.N())
+	s := clusterroute.New(2, g.N())
 	tsA := treeroute.BuildCentralized(treeA)
 	tsB := treeroute.BuildCentralized(treeB)
 	s.AddTree(0, treeA, graph.FromGraph(g), tsA)
@@ -136,7 +144,7 @@ func TestSchemeLevelPreference(t *testing.T) {
 		s.AddLabelEntry(v, 0, 0, tsA)
 		s.AddLabelEntry(v, 1, 5, tsB)
 	}
-	path, _, err := s.Route(1, 2)
+	path, _, err := dataplane.Compile(s).Route(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +161,7 @@ func TestAddLabelEntryWithoutMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(1, 3)
+	s := clusterroute.New(1, 3)
 	ts := treeroute.BuildCentralized(tree)
 	s.AddTree(0, tree, graph.FromGraph(g), ts)
 	// Vertex 2 is not in the tree: its entry must be marked out-of-cluster.
@@ -169,7 +177,7 @@ func TestAddLabelEntryWithoutMembership(t *testing.T) {
 }
 
 func TestWordsAccounting(t *testing.T) {
-	lab := Label{Vertex: 3, Entries: []PivotEntry{
+	lab := clusterroute.Label{Vertex: 3, Entries: []clusterroute.PivotEntry{
 		{Level: 0, Root: 3, InCluster: true, TreeLabel: treeroute.Label{In: 1}},
 		{Level: 1, Root: 7},
 	}}
@@ -177,7 +185,7 @@ func TestWordsAccounting(t *testing.T) {
 	if got := lab.Words(); got != 6 {
 		t.Fatalf("label words=%d want 6", got)
 	}
-	tab := Table{Trees: map[int]treeroute.Table{
+	tab := clusterroute.Table{Trees: map[int]treeroute.Table{
 		3: {},
 		9: {},
 	}}

@@ -37,6 +37,7 @@ import (
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
 	"lowmemroute/internal/obs"
@@ -123,10 +124,32 @@ type Stats struct {
 }
 
 // Scheme is the complete routing scheme produced by Build. It embeds the
-// shared cluster-forest routing machinery of internal/clusterroute.
+// cluster-forest control-plane state of internal/clusterroute and holds
+// the data-plane table Build compiled from it, which every Route walks.
+// The table is a snapshot: a caller that mutates Tables or Labels after
+// Build must compile again (dataplane.Compile) to route on the change.
 type Scheme struct {
 	*clusterroute.Scheme
 	Stats Stats
+
+	tab *dataplane.Table
+}
+
+// Compiled returns the forwarding table Build compiled from the scheme.
+func (s *Scheme) Compiled() *dataplane.Table { return s.tab }
+
+// Route walks a message from src to dst through the compiled table: the
+// lowest level of dst's label whose cluster contains src, then the exact
+// tree route in that cluster. Endpoints outside [0, n) are an error.
+func (s *Scheme) Route(src, dst int) ([]int, float64, error) {
+	return s.tab.Route(src, dst)
+}
+
+// RouteAppend is Route with a caller-provided path buffer: the vertex path
+// is appended to path, so loops issuing many queries allocate only on
+// buffer growth.
+func (s *Scheme) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
+	return s.tab.RouteAppend(src, dst, path)
 }
 
 // Build runs the full distributed construction on the simulator.
@@ -138,7 +161,7 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 		return nil, fmt.Errorf("core: k=%d < 1", k)
 	}
 	if n == 0 {
-		return &Scheme{Scheme: clusterroute.New(k, 0)}, nil
+		return compiled(&Scheme{Scheme: clusterroute.New(k, 0)}, nil)
 	}
 	topo := sim.Topo()
 	if err := o.Ckpt.Attach(sim); err != nil {
@@ -166,7 +189,16 @@ func Build(sim *congest.Simulator, opts Options) (*Scheme, error) {
 	if err := b.timed("approx-clusters", b.approxClusters); err != nil {
 		return nil, err
 	}
-	return b.assemble()
+	return compiled(b.assemble())
+}
+
+// compiled compiles a finished scheme's forwarding table, once.
+func compiled(s *Scheme, err error) (*Scheme, error) {
+	if err != nil {
+		return nil, err
+	}
+	s.tab = dataplane.Compile(s.Scheme)
+	return s, nil
 }
 
 // timed runs a phase under a trace span, records the simulation rounds

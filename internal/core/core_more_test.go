@@ -6,6 +6,7 @@ import (
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/congest"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/treeroute"
 )
@@ -49,10 +50,11 @@ func TestRouteFailsOnCorruptedTable(t *testing.T) {
 	if !found {
 		t.Skip("no multi-hop route found")
 	}
-	// Drop every table at the intermediate vertex: routing must error,
-	// not loop or panic.
+	// Drop every table at the intermediate vertex and compile again (the
+	// table Build compiled is a snapshot): routing must error, not loop or
+	// panic.
 	s.Tables[mid] = clusterroute.Table{Trees: map[int]treeroute.Table{}}
-	if _, _, err := s.Route(src, dst); err == nil {
+	if _, _, err := dataplane.Compile(s.Scheme).Route(src, dst); err == nil {
 		t.Fatal("routing through a table-less vertex should fail loudly")
 	}
 }

@@ -25,11 +25,14 @@
 // one. Readers pin a table once per batch (Engine.Table) and do the whole
 // batch against that snapshot.
 //
-// The forwarding rule is byte-identical to the interpretive walk in
-// clusterroute.Scheme.Route: pick the lowest level of the destination label
-// whose pivot cluster contains both endpoints, then follow the Thorup-Zwick
-// tree-routing rule in that cluster tree. The equivalence suite in this
-// package pins path-for-path equality across every Table 1 scheme row.
+// This is the only cluster-forest forwarding code in the repository: the
+// paper's scheme, the TZ reference and the LP15 baseline all route through
+// a compiled Table. The rule is the paper's routing phase (Appendix B):
+// pick the lowest level of the destination label whose pivot cluster
+// contains both endpoints, then follow the Thorup-Zwick tree-routing rule
+// in that cluster tree. The oracle suite in this package checks every walk
+// against the unique tree path, computed from the cluster trees without
+// this package's code.
 package dataplane
 
 import (
@@ -238,8 +241,7 @@ func (t *Table) stepMem(v int, ve, le int32) (next int32, arrived bool) {
 }
 
 // selectEntry picks the destination label's lowest-level entry whose
-// cluster tree contains src — the same rule as clusterroute.Scheme.Route.
-// Returns (-1, -1) when no common cluster exists.
+// cluster tree contains src. Returns (-1, -1) when no common cluster exists.
 func (t *Table) selectEntry(src, dst int) (le, ve int32) {
 	for e := t.labStart[dst]; e < t.labStart[dst+1]; e++ {
 		if m := t.member(src, t.labRoot[e]); m >= 0 {
@@ -251,8 +253,12 @@ func (t *Table) selectEntry(src, dst int) (le, ve int32) {
 
 // Lookup makes one forwarding decision at src toward dst: it selects the
 // packet's cluster tree (lowest mutual level) and returns the first hop.
-// Allocation-free and safe for unlimited concurrent use.
+// An endpoint outside [0, N()) gets the no-route decision (Next, Root and
+// Entry all None). Allocation-free and safe for unlimited concurrent use.
 func (t *Table) Lookup(src int, dst Label) NextHop {
+	if uint(src) >= uint(t.n) || uint(dst) >= uint(t.n) {
+		return NextHop{Next: None, Root: None, Entry: None}
+	}
 	if src == int(dst) {
 		return NextHop{Next: int32(src), Root: None, Entry: None, Arrived: true}
 	}
@@ -267,7 +273,8 @@ func (t *Table) Lookup(src int, dst Label) NextHop {
 // LookupBatch makes one forwarding decision per destination, all at src —
 // the shape of a forwarding node draining its input queue. It fills out
 // index-aligned with dst and returns the number of decisions made
-// (min(len(dst), len(out))). The loop is allocation-free; callers own and
+// (min(len(dst), len(out))). Out-of-range endpoints get the no-route
+// decision, as in Lookup. The loop is allocation-free; callers own and
 // reuse both slices across batches.
 func (t *Table) LookupBatch(src int, dst []Label, out []NextHop) int {
 	n := len(dst)
@@ -305,12 +312,11 @@ func (t *Table) Step(v int, e int32) (next int32, arrived, ok bool) {
 
 // RouteAppend walks src → dst through the compiled table, appending the
 // vertex path (inclusive of both endpoints) to path and returning it with
-// the walk's weighted length. The walk, its errors, and the float64
-// addition order are those of clusterroute.Scheme.Route, so paths and
-// weights are byte-identical; with a caller-reused buffer it allocates only
-// on buffer growth.
+// the walk's weighted length: the tree-edge weights summed in path order.
+// An endpoint outside [0, N()) is an error, as is a pair with no common
+// cluster. With a caller-reused buffer it allocates only on buffer growth.
 func (t *Table) RouteAppend(src, dst int, path []int) ([]int, float64, error) {
-	if src < 0 || src >= t.n || dst < 0 || dst >= t.n {
+	if uint(src) >= uint(t.n) || uint(dst) >= uint(t.n) {
 		return path, 0, fmt.Errorf("dataplane: endpoints (%d,%d) out of range", src, dst)
 	}
 	if src == dst {

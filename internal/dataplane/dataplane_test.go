@@ -2,104 +2,13 @@ package dataplane
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
-	"lowmemroute/internal/baseline"
-	"lowmemroute/internal/clusterroute"
-	"lowmemroute/internal/congest"
-	"lowmemroute/internal/core"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
-
-// buildSchemes constructs every clusterroute-backed Table 1 scheme row over
-// g — the compiled data plane is defined exactly over clusterroute.Scheme,
-// so these are the rows whose walks it must reproduce byte-for-byte.
-func buildSchemes(t *testing.T, g *graph.Graph, k int, seed int64) map[string]*clusterroute.Scheme {
-	t.Helper()
-	out := make(map[string]*clusterroute.Scheme)
-
-	s, err := tz.Build(g, tz.Options{K: k, Seed: seed})
-	if err != nil {
-		t.Fatalf("tz: %v", err)
-	}
-	out["tz"] = s.Scheme
-
-	lp, err := baseline.BuildLP15(congest.New(g, congest.WithSeed(seed)), baseline.Options{K: k, Seed: seed})
-	if err != nil {
-		t.Fatalf("lp15: %v", err)
-	}
-	out["lp15"] = lp
-
-	p, err := core.Build(congest.New(g, congest.WithSeed(seed)), core.Options{K: k, Seed: seed})
-	if err != nil {
-		t.Fatalf("paper: %v", err)
-	}
-	out["paper"] = p.Scheme
-	return out
-}
-
-func equalPaths(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCompiledEquivalence pins the tentpole claim: for every vertex pair of
-// every clusterroute-backed Table 1 scheme row, the compiled table's walk is
-// byte-identical to the interpretive Scheme.Route — same path, bit-equal
-// float64 weight, and errors on exactly the same pairs.
-func TestCompiledEquivalence(t *testing.T) {
-	cases := []struct {
-		family graph.Family
-		n, k   int
-	}{
-		{graph.FamilyErdosRenyi, 72, 2},
-		{graph.FamilyErdosRenyi, 72, 3},
-		{graph.FamilyGeometric, 64, 3},
-		{graph.FamilyGrid, 64, 2},
-	}
-	for _, tc := range cases {
-		g, err := graph.Generate(tc.family, tc.n, rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatalf("generate: %v", err)
-		}
-		for name, s := range buildSchemes(t, g, tc.k, 11) {
-			tab := Compile(s)
-			if tab.N() != tc.n {
-				t.Fatalf("%s n=%d k=%d: compiled N=%d", name, tc.n, tc.k, tab.N())
-			}
-			var buf []int
-			for src := 0; src < tc.n; src++ {
-				for dst := 0; dst < tc.n; dst++ {
-					wantPath, wantW, wantErr := s.Route(src, dst)
-					var gotW float64
-					var gotErr error
-					buf, gotW, gotErr = tab.RouteAppend(src, dst, buf[:0])
-					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s n=%d k=%d %d->%d: err %v vs %v", name, tc.n, tc.k, src, dst, wantErr, gotErr)
-					}
-					if wantErr != nil {
-						continue
-					}
-					if !equalPaths(wantPath, buf) {
-						t.Fatalf("%s n=%d k=%d %d->%d: path %v vs %v", name, tc.n, tc.k, src, dst, wantPath, buf)
-					}
-					if wantW != gotW {
-						t.Fatalf("%s n=%d k=%d %d->%d: weight %v vs %v", name, tc.n, tc.k, src, dst, wantW, gotW)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestLookupMatchesRoute checks the single-decision API against the full
 // walk: starting from Lookup and stepping with Step must retrace exactly
@@ -140,7 +49,7 @@ func TestLookupMatchesRoute(t *testing.T) {
 				}
 				cur = int(next)
 			}
-			if !equalPaths(path, walked) {
+			if !slices.Equal(path, walked) {
 				t.Fatalf("%d->%d: Route %v vs Lookup/Step %v", src, dst, path, walked)
 			}
 		}

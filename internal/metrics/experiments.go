@@ -7,6 +7,7 @@ import (
 	"lowmemroute/internal/baseline"
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/faults"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/obs"
@@ -116,7 +117,7 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		}
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(g, dataplane.Compile(s.Scheme), cfg.Pairs, r, lat)
 	case "lp15":
 		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildLP15(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})
@@ -126,7 +127,7 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		fillSim(&row, sim)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
+		row.Stretch = MeasureStretchObserved(g, dataplane.Compile(s), cfg.Pairs, r, lat)
 	case "en16b":
 		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := baseline.BuildEN16b(sim, baseline.Options{K: cfg.K, Seed: cfg.Seed})

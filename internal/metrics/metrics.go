@@ -16,15 +16,15 @@ import (
 )
 
 // WeightedRouter routes between two vertices and reports the weighted length
-// of the walk. Every general-graph scheme in the repository implements it.
+// of the walk: core.Scheme, a compiled dataplane.Table, and EN16b.
 type WeightedRouter interface {
 	Route(src, dst int) ([]int, float64, error)
 }
 
 // AppendRouter is the buffer-reusing variant of WeightedRouter. Routers that
-// implement it (all clusterroute-backed schemes and the compiled data plane)
-// let the measurement loops below route thousands of pairs without a per-
-// query path allocation.
+// implement it (core.Scheme and the compiled dataplane.Table it walks) let
+// the measurement loops below route thousands of pairs without a per-query
+// path allocation.
 type AppendRouter interface {
 	RouteAppend(src, dst int, path []int) ([]int, float64, error)
 }

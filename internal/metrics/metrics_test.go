@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
@@ -66,7 +67,8 @@ func TestMeasureStretch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := MeasureStretch(g, s, 100, rand.New(rand.NewSource(3)))
+	tab := dataplane.Compile(s.Scheme)
+	st := MeasureStretch(g, tab, 100, rand.New(rand.NewSource(3)))
 	if st.Pairs == 0 {
 		t.Fatal("no pairs measured")
 	}
@@ -91,7 +93,8 @@ func TestStretchHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	tab := dataplane.Compile(s.Scheme)
+	hist, failures := StretchHistogram(g, tab, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures != 0 {
 		t.Fatalf("failures=%d on a complete scheme", failures)
 	}
@@ -128,7 +131,8 @@ func TestStretchHistogramCountsFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, failures := StretchHistogram(g, flakyRouter{s}, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	tab := dataplane.Compile(s.Scheme)
+	hist, failures := StretchHistogram(g, flakyRouter{tab}, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	if failures == 0 {
 		t.Fatal("expected some failed pairs")
 	}
@@ -140,7 +144,7 @@ func TestStretchHistogramCountsFailures(t *testing.T) {
 		t.Fatal("failures must not wipe out the histogram")
 	}
 	// The routable half of the pairs must bucket exactly as before.
-	full, _ := StretchHistogram(g, s, 150, 10, 0.5, rand.New(rand.NewSource(6)))
+	full, _ := StretchHistogram(g, tab, 150, 10, 0.5, rand.New(rand.NewSource(6)))
 	fullTotal := 0
 	for _, c := range full {
 		fullTotal += c

@@ -3,6 +3,8 @@ package router
 import (
 	"math/rand"
 	"testing"
+
+	"lowmemroute/internal/dataplane"
 )
 
 // crashTarget picks an intermediate vertex of some clean route so crashing it
@@ -30,7 +32,7 @@ func crashTarget(t *testing.T, net *Network, n int, seed int64) (victim, src, ds
 
 func TestCrashedNextHopReroutes(t *testing.T) {
 	s, g := buildScheme(t, 100, 3, 11)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 
 	// Route a batch of random pairs clean, crash the most-used intermediate
@@ -106,7 +108,7 @@ func TestCrashedNextHopReroutes(t *testing.T) {
 
 func TestCrashedDestinationFails(t *testing.T) {
 	s, _ := buildScheme(t, 60, 2, 21)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	net.Crash(17)
 	if _, err := net.Send(3, 17); err == nil {
@@ -116,7 +118,7 @@ func TestCrashedDestinationFails(t *testing.T) {
 
 func TestCrashedSourceFails(t *testing.T) {
 	s, _ := buildScheme(t, 60, 2, 22)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	net.Crash(3)
 	if _, err := net.Send(3, 17); err == nil {
@@ -126,7 +128,7 @@ func TestCrashedSourceFails(t *testing.T) {
 
 func TestRecoverRestoresCleanRoutes(t *testing.T) {
 	s, g := buildScheme(t, 100, 3, 23)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	victim, src, dst := crashTarget(t, net, g.N(), 24)
 	clean, err := net.Send(src, dst)
@@ -155,7 +157,7 @@ func TestRecoverRestoresCleanRoutes(t *testing.T) {
 
 func TestCrashRecoverConcurrentWithSends(t *testing.T) {
 	s, g := buildScheme(t, 80, 3, 25)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	victim, _, _ := crashTarget(t, net, g.N(), 26)
 	done := make(chan struct{})

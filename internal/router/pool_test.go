@@ -2,13 +2,15 @@ package router
 
 import (
 	"testing"
+
+	"lowmemroute/internal/dataplane"
 )
 
 // TestWithQueueDepth checks the option plumbs through (a depth-1 network
 // still delivers) and rejects non-positive depths.
 func TestWithQueueDepth(t *testing.T) {
 	s, g := buildScheme(t, 40, 2, 3)
-	net := New(s.Scheme, WithQueueDepth(1))
+	net := New(dataplane.Compile(s.Scheme), WithQueueDepth(1))
 	defer net.Close()
 	for u := 0; u < g.N(); u += 7 {
 		for v := 0; v < g.N(); v += 5 {
@@ -22,7 +24,7 @@ func TestWithQueueDepth(t *testing.T) {
 			t.Fatal("WithQueueDepth(0) should panic")
 		}
 	}()
-	New(s.Scheme, WithQueueDepth(0))
+	New(dataplane.Compile(s.Scheme), WithQueueDepth(0))
 }
 
 // TestPooledPathsStayIntact pins the pool-recycling contract: the Path a
@@ -30,7 +32,7 @@ func TestWithQueueDepth(t *testing.T) {
 // buffer) is reused by later sends.
 func TestPooledPathsStayIntact(t *testing.T) {
 	s, _ := buildScheme(t, 60, 2, 5)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 
 	type sent struct {
@@ -54,7 +56,7 @@ func TestPooledPathsStayIntact(t *testing.T) {
 		}
 	}
 	for _, f := range first {
-		want, _, err := s.Route(f.u, f.v)
+		want, _, err := net.tab.Route(f.u, f.v)
 		if err != nil {
 			t.Fatal(err)
 		}

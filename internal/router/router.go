@@ -4,10 +4,9 @@
 // executed as real concurrent message passing rather than a host-side walk.
 //
 // Forwarding decisions come from the compiled data plane
-// (internal/dataplane): New flattens the scheme's pointer-rich tables into
-// immutable flat arrays once, and every node goroutine makes its per-hop
-// decision with an allocation-free array walk instead of re-running the
-// interpretive map-backed NextHop rule. Packets themselves are recycled
+// (internal/dataplane): New serves a scheme's compiled table, and every
+// node goroutine makes its per-hop decision with the table's
+// allocation-free Lookup and Step. Packets themselves are recycled
 // through a sync.Pool - trace, crankback, and tried-tree buffers survive
 // across sends - so a steady packet stream allocates only the caller-facing
 // delivery path. The runtime has a managed lifecycle: Close stops every
@@ -30,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/obs"
 )
@@ -110,14 +108,13 @@ func WithQueueDepth(depth int) Option {
 	}
 }
 
-// New compiles the scheme into a flat data-plane table and starts one
-// forwarding goroutine per node.
-func New(scheme *clusterroute.Scheme, opts ...Option) *Network {
+// New starts one forwarding goroutine per node of the compiled table. The
+// table is read-only and may be shared with other readers.
+func New(tab *dataplane.Table, opts ...Option) *Network {
 	cfg := config{queueDepth: defaultQueueDepth}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	tab := dataplane.Compile(scheme)
 	n := tab.N()
 	net := &Network{
 		tab:   tab,

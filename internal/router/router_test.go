@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/tz"
 )
@@ -24,7 +25,7 @@ func buildScheme(t *testing.T, n int, k int, seed int64) (*tz.Scheme, *graph.Gra
 
 func TestPacketsFollowSchemeRoutes(t *testing.T) {
 	s, g := buildScheme(t, 100, 2, 1)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	r := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 100; trial++ {
@@ -33,7 +34,7 @@ func TestPacketsFollowSchemeRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("send %d->%d: %v", u, v, err)
 		}
-		wantPath, _, err := s.Route(u, v)
+		wantPath, _, err := net.tab.Route(u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestPacketsFollowSchemeRoutes(t *testing.T) {
 
 func TestSelfDelivery(t *testing.T) {
 	s, _ := buildScheme(t, 30, 2, 3)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	d, err := net.Send(7, 7)
 	if err != nil {
@@ -63,7 +64,7 @@ func TestSelfDelivery(t *testing.T) {
 
 func TestConcurrentSends(t *testing.T) {
 	s, g := buildScheme(t, 120, 2, 4)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 200)
@@ -101,7 +102,7 @@ func (*wrongDst) Error() string { return "packet delivered to wrong destination"
 
 func TestSendAfterCloseFails(t *testing.T) {
 	s, _ := buildScheme(t, 30, 2, 5)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	net.Close()
 	if _, err := net.Send(0, 1); err == nil {
 		t.Fatal("send after close should fail")
@@ -111,7 +112,7 @@ func TestSendAfterCloseFails(t *testing.T) {
 
 func TestSendBoundsChecked(t *testing.T) {
 	s, _ := buildScheme(t, 20, 2, 6)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	if _, err := net.Send(-1, 3); err == nil {
 		t.Fatal("negative src should fail")
@@ -123,7 +124,7 @@ func TestSendBoundsChecked(t *testing.T) {
 
 func TestLatencyRecorded(t *testing.T) {
 	s, _ := buildScheme(t, 40, 2, 7)
-	net := New(s.Scheme)
+	net := New(dataplane.Compile(s.Scheme))
 	defer net.Close()
 	d, err := net.Send(0, 20)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 )
 
@@ -33,11 +34,12 @@ func TestK1IsShortestPathRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab := dataplane.Compile(s.Scheme)
 	exact := g.AllPairs()
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		u, v := r.Intn(g.N()), r.Intn(g.N())
-		_, w, err := s.Route(u, v)
+		_, w, err := tab.Route(u, v)
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", u, v, err)
 		}
@@ -54,10 +56,11 @@ func TestRoutingAlwaysArrives(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab := dataplane.Compile(s.Scheme)
 		r := rand.New(rand.NewSource(int64(k)))
 		for trial := 0; trial < 150; trial++ {
 			u, v := r.Intn(g.N()), r.Intn(g.N())
-			path, _, err := s.Route(u, v)
+			path, _, err := tab.Route(u, v)
 			if err != nil {
 				t.Fatalf("k=%d route %d->%d: %v", k, u, v, err)
 			}
@@ -92,6 +95,7 @@ func TestStretchBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tab := dataplane.Compile(s.Scheme)
 		exact := g.AllPairs()
 		bound := float64(4*tt.k - 3)
 		r := rand.New(rand.NewSource(23))
@@ -100,7 +104,7 @@ func TestStretchBound(t *testing.T) {
 			if u == v {
 				continue
 			}
-			_, w, err := s.Route(u, v)
+			_, w, err := tab.Route(u, v)
 			if err != nil {
 				t.Fatalf("%s k=%d route %d->%d: %v", tt.family, tt.k, u, v, err)
 			}
@@ -223,13 +227,14 @@ func TestStretchProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		tab := dataplane.Compile(s.Scheme)
 		bound := float64(4*k - 3)
 		for trial := 0; trial < 20; trial++ {
 			u, v := r.Intn(n), r.Intn(n)
 			if u == v {
 				continue
 			}
-			_, w, err := s.Route(u, v)
+			_, w, err := tab.Route(u, v)
 			if err != nil {
 				return false
 			}

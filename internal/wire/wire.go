@@ -6,7 +6,10 @@
 //
 // Formats are self-delimiting and versionless by design (the schemes are
 // rebuilt, not migrated); ints are encoded as unsigned varints with
-// graph.NoVertex mapped to 0 and ids shifted by one.
+// graph.NoVertex mapped to 0 and ids shifted by one. Decoding is strict:
+// every input a decoder accepts is the exact encoding of what it returns
+// (minimal varints, membership flags 0 or 1, table centers strictly
+// ascending), so Encode(Decode(b)) == b.
 package wire
 
 import (
@@ -24,11 +27,24 @@ func putID(b []byte, id int) []byte {
 }
 
 func getID(b []byte) (int, []byte, error) {
+	v, b, err := getUvarint(b, "id")
+	return int(v) - 1, b, err
+}
+
+// getUvarint decodes one minimal unsigned varint, returning the remainder.
+// It rejects the overlong forms binary.Uvarint accepts (a multi-byte
+// varint whose last byte is zero), which would re-encode shorter.
+func getUvarint(b []byte, what string) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("wire: truncated id")
+	switch {
+	case n == 0:
+		return 0, nil, fmt.Errorf("wire: truncated %s", what)
+	case n < 0:
+		return 0, nil, fmt.Errorf("wire: %s overflows 64 bits", what)
+	case n > 1 && b[n-1] == 0:
+		return 0, nil, fmt.Errorf("wire: overlong varint for %s", what)
 	}
-	return int(v) - 1, b[n:], nil
+	return v, b[n:], nil
 }
 
 // AppendTreeTable encodes a tree-routing table.
@@ -77,11 +93,10 @@ func DecodeTreeLabel(b []byte) (treeroute.Label, []byte, error) {
 	if l.In, b, err = getID(b); err != nil {
 		return l, nil, err
 	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return l, nil, fmt.Errorf("wire: truncated light-edge count")
+	count, b, err := getUvarint(b, "light-edge count")
+	if err != nil {
+		return l, nil, err
 	}
-	b = b[n:]
 	if count > uint64(len(b)) { // each edge needs at least 2 bytes
 		return l, nil, fmt.Errorf("wire: light-edge count %d exceeds payload", count)
 	}
@@ -123,22 +138,20 @@ func DecodeLabel(b []byte) (clusterroute.Label, error) {
 	if l.Vertex, b, err = getID(b); err != nil {
 		return l, err
 	}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return l, fmt.Errorf("wire: truncated entry count")
+	count, b, err := getUvarint(b, "entry count")
+	if err != nil {
+		return l, err
 	}
-	b = b[n:]
 	if count > uint64(len(b))+1 {
 		return l, fmt.Errorf("wire: entry count %d exceeds payload", count)
 	}
 	for i := uint64(0); i < count; i++ {
 		var e clusterroute.PivotEntry
-		lvl, n := binary.Uvarint(b)
-		if n <= 0 {
-			return l, fmt.Errorf("wire: truncated level")
+		var lvl uint64
+		if lvl, b, err = getUvarint(b, "level"); err != nil {
+			return l, err
 		}
 		e.Level = int(lvl)
-		b = b[n:]
 		if e.Root, b, err = getID(b); err != nil {
 			return l, err
 		}
@@ -147,6 +160,9 @@ func DecodeLabel(b []byte) (clusterroute.Label, error) {
 		}
 		flag := b[0]
 		b = b[1:]
+		if flag > 1 {
+			return l, fmt.Errorf("wire: membership flag %#x", flag)
+		}
 		if flag == 1 {
 			e.InCluster = true
 			if e.TreeLabel, b, err = DecodeTreeLabel(b); err != nil {
@@ -186,15 +202,14 @@ func EncodeTable(t clusterroute.Table) []byte {
 // DecodeTable decodes a cluster-forest routing table.
 func DecodeTable(b []byte) (clusterroute.Table, error) {
 	t := clusterroute.Table{Trees: make(map[int]treeroute.Table)}
-	count, n := binary.Uvarint(b)
-	if n <= 0 {
-		return t, fmt.Errorf("wire: truncated tree count")
+	count, b, err := getUvarint(b, "tree count")
+	if err != nil {
+		return t, err
 	}
-	b = b[n:]
 	if count > uint64(len(b))+1 {
 		return t, fmt.Errorf("wire: tree count %d exceeds payload", count)
 	}
-	var err error
+	prev := 0
 	for i := uint64(0); i < count; i++ {
 		var c int
 		if c, b, err = getID(b); err != nil {
@@ -203,6 +218,10 @@ func DecodeTable(b []byte) (clusterroute.Table, error) {
 		if c == graph.NoVertex {
 			return t, fmt.Errorf("wire: invalid center")
 		}
+		if i > 0 && c <= prev {
+			return t, fmt.Errorf("wire: center %d after %d: not strictly ascending", c, prev)
+		}
+		prev = c
 		var tt treeroute.Table
 		if tt, b, err = DecodeTreeTable(b); err != nil {
 			return t, err

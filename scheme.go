@@ -156,8 +156,8 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 
 // Route forwards a message from src to dst using only src's table, dst's
 // label, and the tables of intermediate nodes - exactly the routing phase
-// of the scheme. Compile the scheme for allocation-free flat-array walks
-// with the same paths and weights.
+// of the scheme, walked on the flat table Build compiled (the one Compile
+// and Serve use too). A src or dst outside [0, Nodes()) is an error.
 func (s *Scheme) Route(src, dst int) (Path, error) {
 	var began time.Time
 	if s.lookups != nil {
@@ -217,7 +217,7 @@ type PacketNetwork struct {
 // use. A scheme built with Config.Metrics records each delivery's
 // end-to-end wall latency into the lookup-latency histogram.
 func (s *Scheme) Serve() *PacketNetwork {
-	net := router.New(s.inner.Scheme)
+	net := router.New(s.inner.Compiled())
 	net.ObserveLatency(s.lookups)
 	return &PacketNetwork{inner: net}
 }
