@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json perfbench-test metrics-smoke scale-smoke ckpt-smoke fuzz-wire table1 table2 sweeps demo fmt
+.PHONY: all build test vet lint lint-baseline lint-graph lint-graph-update race bench bench-json bench-diff bench-smoke bench-dataplane bench-dataplane-json perfbench-test metrics-smoke scale-smoke ckpt-smoke fuzz table1 table2 sweeps demo fmt
 
 all: build vet lint test race
 
@@ -125,12 +125,15 @@ bench-smoke:
 	| $(GO) run ./cmd/benchdiff -emit -tag ci-smoke > /tmp/bench-smoke.json
 	$(GO) run ./cmd/benchdiff -old /tmp/bench-smoke.json -new /tmp/bench-smoke.json
 
-# Fuzz the label and table wire decoders (internal/wire) for 15 s each:
-# every input a decoder accepts must re-encode to the same bytes. A failing
-# input is saved under internal/wire/testdata/fuzz and replays in `make test`.
-fuzz-wire:
+# Fuzz every input parser for 15 s each: the label and table wire
+# decoders (internal/wire; every accepted input re-encodes to the same
+# bytes) and the fault-spec parser (internal/faults; every accepted spec
+# round-trips through Plan.String). A failing input is saved under the
+# package's testdata/fuzz and replays in `make test`.
+fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLabel$$' -fuzztime 15s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 15s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/faults
 
 # The pipeline benchmark (perfbench/) is a module of its own, so the root
 # `go test ./...` never compiles it; vet and test it here against the

@@ -197,7 +197,7 @@ func main() {
 // Latencies are host wall times, so the summary goes to stderr with the
 // other host-side diagnostics — stdout stays bit-identical across runs.
 func printLookupLatency(reg *obs.Registry) {
-	s := reg.Histogram(metrics.LookupHistogram, 1e-9).Snapshot()
+	s := metrics.LookupHist(reg).Snapshot()
 	if s.Count == 0 {
 		return
 	}
@@ -296,17 +296,11 @@ func runStretchHistogram(family graph.Family, ns, ks []int, seed int64, pairs in
 			if err != nil {
 				fatalf("generate: %v", err)
 			}
-			simOpts := []congest.Option{congest.WithSeed(seed), congest.WithMetrics(reg)}
-			if rec != nil {
-				simOpts = append(simOpts, congest.WithTrace(rec))
-			}
-			if plan != nil && !plan.Empty() {
-				simOpts = append(simOpts, congest.WithFaults(plan))
-			}
-			sim := congest.New(g, simOpts...)
+			sim := congest.New(g, congest.WithSeed(seed), congest.WithMetrics(reg),
+				congest.WithTrace(rec), congest.WithFaults(plan))
 			rec.Attach(sim)
 			sp := rec.Begin(fmt.Sprintf("paper[n=%d,k=%d]", n, k))
-			s, err := core.Build(sim, core.Options{K: k, Seed: seed, Trace: rec, Metrics: reg})
+			s, err := core.Build(sim, core.Options{K: k, Seed: seed, Trace: rec})
 			sp.End()
 			if err != nil {
 				fatalf("build: %v", err)

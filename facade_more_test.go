@@ -167,3 +167,38 @@ func TestQuantizeLargeAspectRatio(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeRouteWeightSumsLinks checks that a tree route's Weight is the
+// walk's length, not its hop count: on the path 0–1–2 with link weights 5
+// and 7, both the tree scheme and the general scheme report 12.
+func TestTreeRouteWeightSumsLinks(t *testing.T) {
+	net := NewNetwork(3)
+	net.MustAddLink(0, 1, 5)
+	net.MustAddLink(1, 2, 7)
+	tree, err := net.TreeFromParents(1, []int{1, -1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := BuildTree(net, tree, TreeConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Build(net, Config{K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]int{{0, 2}, {2, 0}, {0, 1}, {1, 2}, {1, 1}} {
+		tp, err := ts.Route(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := s.Route(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Weight != sp.Weight || tp.Weight != net.ShortestPath(pair[0], pair[1]) {
+			t.Errorf("%d->%d: tree weight %v, scheme weight %v, distance %v",
+				pair[0], pair[1], tp.Weight, sp.Weight, net.ShortestPath(pair[0], pair[1]))
+		}
+	}
+}

@@ -29,6 +29,17 @@ type BroadcastMsg struct {
 //
 // Cost charged (Lemma 1): rounds = M + 2D for M messages; every message
 // traverses every BFS-tree edge, so messages += M*(n-1).
+//
+// Under a fault plan every (vertex, message) delivery rolls drops on the
+// stream keyed by (v, msg index), retransmitting up to the plan's budget
+// before the message is counted Lost and the handler skipped for that
+// vertex. The pipelined tree absorbs retransmissions in parallel, so the
+// round cost grows by the worst per-delivery attempt count, while every
+// failed transmission is charged wire cost individually (the paper's bounds
+// are measured under faults, not just in the clean run). Crashed vertices
+// receive nothing, crashed origins reach no one, and partitions sever
+// origin→vertex pairs; the clock is the current global round, so windows
+// opened by earlier Run phases apply here too.
 func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, m *BroadcastMsg)) {
 	if s.resumePending {
 		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
@@ -39,134 +50,38 @@ func (s *Simulator) Broadcast(msgs []BroadcastMsg, handle func(v int, m *Broadca
 	if s.obs != nil {
 		defer s.obsSyncAll()
 	}
-	if f := s.ensureFaults(); f != nil {
-		s.broadcastFaulty(f, msgs, handle)
-		return
-	}
+	f := s.ensureFaults()
 	n := s.N()
-	s.rounds += int64(len(msgs)) + 2*int64(s.d)
-	var totalWords int64
-	for _, m := range msgs {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
-	}
-	s.messages += int64(len(msgs)) * int64(n-1)
-	s.words += totalWords * int64(n-1)
-	if handle != nil {
+	clock := s.rounds
+	var t faultTally
+	if handle != nil || f != nil {
 		for v := 0; v < n; v++ {
 			for j := range msgs {
 				m := &msgs[j]
-				w := int64(m.Words)
-				if w < 1 {
-					w = 1
-				}
-				s.meters[v].Spike(w)
-				handle(v, m)
-			}
-		}
-	}
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindBroadcast,
-			int64(len(msgs))+2*int64(s.d), n,
-			int64(len(msgs))*int64(n-1), totalWords*int64(n-1), faults.Counters{})
-	}
-}
-
-// broadcastFaulty is Broadcast under a fault plan: every (vertex, message)
-// delivery rolls drops on the stream keyed by (v, msg index), retransmitting
-// up to the plan's budget before the message is counted Lost and the handler
-// skipped for that vertex. The pipelined tree absorbs retransmissions in
-// parallel, so the round cost grows by the worst per-delivery attempt count,
-// while every failed transmission is charged wire cost individually (the
-// paper's bounds are measured under faults, not just in the clean run).
-// Crashed vertices receive nothing, crashed origins reach no one, and
-// partitions sever origin→vertex pairs; the clock is the current global
-// round, so windows opened by earlier Run phases apply here too.
-func (s *Simulator) broadcastFaulty(f *faults.Compiled, msgs []BroadcastMsg, handle func(v int, m *BroadcastMsg)) {
-	n := s.N()
-	clock := s.rounds
-	var ctr faults.Counters
-	var totalWords, extraMsgs, extraWords int64
-	maxExtra := 0
-	for _, m := range msgs {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
-	}
-	for v := 0; v < n; v++ {
-		vDown, _ := f.Crashed(v, clock)
-		for j := range msgs {
-			m := &msgs[j]
-			w := int64(m.Words)
-			if w < 1 {
-				w = 1
-			}
-			if vDown {
-				ctr.Discarded++
-				continue
-			}
-			if down, _ := f.Crashed(m.Origin, clock); down {
-				ctr.Discarded++
-				continue
-			}
-			if v != m.Origin {
-				if cut, _ := f.CutPair(m.Origin, v, clock); cut {
-					ctr.Discarded++
+				w := msgWords(m)
+				if f != nil && !s.deliverFaulty(f, &t, m.Origin, v, j, w, clock) {
 					continue
 				}
-				attempt, lost := 0, false
-				for f.BroadcastDrop(v, j, attempt) {
-					ctr.Dropped++
-					ctr.RetryWords += w
-					extraMsgs++
-					extraWords += w
-					if attempt >= f.Budget() {
-						lost = true
-						break
-					}
-					attempt++
-				}
-				if lost {
-					ctr.Lost++
-					continue
-				}
-				ctr.Retried += int64(attempt)
-				if attempt > maxExtra {
-					maxExtra = attempt
-				}
-				// Each retransmission re-buffers the message at the
-				// receiving tree hop.
-				for a := 0; a < attempt; a++ {
+				if handle != nil {
 					s.meters[v].Spike(w)
+					handle(v, m)
 				}
-			}
-			if handle != nil {
-				s.meters[v].Spike(w)
-				handle(v, m)
 			}
 		}
 	}
-	rounds := int64(len(msgs)) + 2*int64(s.d) + int64(maxExtra)
-	s.rounds += rounds
-	s.messages += int64(len(msgs))*int64(n-1) + extraMsgs
-	s.words += totalWords*int64(n-1) + extraWords
-	s.faultCtr.Add(ctr)
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindBroadcast, rounds, n,
-			int64(len(msgs))*int64(n-1)+extraMsgs,
-			totalWords*int64(n-1)+extraWords, ctr)
-	}
+	s.chargePrimitive(trace.KindBroadcast, msgs, int64(n-1), n, &t)
 }
 
 // Convergecast aggregates M messages (one per origin) up the BFS tree to a
 // sink that then learns all of them; it has the same O(M + D) pipelined cost
 // as Broadcast. handle is invoked at the sink for every message, in origin
-// order, with the same read-only pointer contract as Broadcast.
+// order, with the same read-only pointer contract as Broadcast. Each
+// message is charged D hops.
+//
+// Under a fault plan it mirrors Broadcast in the aggregation direction:
+// per-message drop rolls keyed on (sink, origin-order index), bounded
+// retransmission, crash and partition checks between each origin and the
+// sink. A crashed sink learns nothing (every message is Discarded).
 func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *BroadcastMsg)) {
 	if s.resumePending {
 		panic("congest: mid-run checkpoint resume pending; the next simulator primitive must be Run")
@@ -179,113 +94,91 @@ func (s *Simulator) Convergecast(sink int, msgs []BroadcastMsg, handle func(m *B
 	}
 	sorted := append([]BroadcastMsg(nil), msgs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Origin < sorted[j].Origin })
-	if f := s.ensureFaults(); f != nil {
-		s.convergecastFaulty(f, sink, sorted, handle)
-		return
-	}
-	s.rounds += int64(len(sorted)) + 2*int64(s.d)
-	var totalWords int64
-	for _, m := range sorted {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
-	}
-	// Each message travels at most D hops to the sink.
-	s.messages += int64(len(sorted)) * int64(s.d)
-	s.words += totalWords * int64(s.d)
-	if handle != nil {
+	f := s.ensureFaults()
+	clock := s.rounds
+	var t faultTally
+	if handle != nil || f != nil {
 		for j := range sorted {
 			m := &sorted[j]
-			w := int64(m.Words)
-			if w < 1 {
-				w = 1
+			w := msgWords(m)
+			if f != nil && !s.deliverFaulty(f, &t, m.Origin, sink, j, w, clock) {
+				continue
 			}
-			s.meters[sink].Spike(w)
-			handle(m)
+			if handle != nil {
+				s.meters[sink].Spike(w)
+				handle(m)
+			}
 		}
 	}
-	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindConvergecast,
-			int64(len(sorted))+2*int64(s.d), len(sorted),
-			int64(len(sorted))*int64(s.d), totalWords*int64(s.d), faults.Counters{})
-	}
+	s.chargePrimitive(trace.KindConvergecast, sorted, int64(s.d), len(sorted), &t)
 }
 
-// convergecastFaulty mirrors broadcastFaulty for the aggregation direction:
-// per-message drop rolls keyed on (sink, origin-order index), bounded
-// retransmission, crash and partition checks between each origin and the
-// sink. A crashed sink learns nothing (every message is Discarded).
-func (s *Simulator) convergecastFaulty(f *faults.Compiled, sink int, sorted []BroadcastMsg, handle func(m *BroadcastMsg)) {
-	clock := s.rounds
-	var ctr faults.Counters
-	var totalWords, extraMsgs, extraWords int64
-	maxExtra := 0
-	for _, m := range sorted {
-		w := m.Words
-		if w < 1 {
-			w = 1
-		}
-		totalWords += int64(w)
+// msgWords is a broadcast message's wire size: at least one word.
+func msgWords(m *BroadcastMsg) int64 { return int64(max(m.Words, 1)) }
+
+// faultTally accumulates what a fault plan did to one analytic primitive.
+type faultTally struct {
+	ctr                   faults.Counters
+	extraMsgs, extraWords int64 // retransmission cost
+	maxExtra              int   // worst per-delivery retransmission count
+}
+
+// deliverFaulty decides whether message j (origin → dst, w words) of an
+// analytic primitive reaches dst under plan f at global round clock,
+// tallying discards, drops and retransmissions into t. Each
+// retransmission re-buffers the message at dst, spiking its meter.
+func (s *Simulator) deliverFaulty(f *faults.Compiled, t *faultTally, origin, dst, j int, w, clock int64) bool {
+	if down, _ := f.Crashed(dst, clock); down {
+		t.ctr.Discarded++
+		return false
 	}
-	sinkDown, _ := f.Crashed(sink, clock)
-	for j := range sorted {
-		m := &sorted[j]
-		w := int64(m.Words)
-		if w < 1 {
-			w = 1
-		}
-		if sinkDown {
-			ctr.Discarded++
-			continue
-		}
-		if down, _ := f.Crashed(m.Origin, clock); down {
-			ctr.Discarded++
-			continue
-		}
-		if m.Origin != sink {
-			if cut, _ := f.CutPair(m.Origin, sink, clock); cut {
-				ctr.Discarded++
-				continue
-			}
-			attempt, lost := 0, false
-			for f.BroadcastDrop(sink, j, attempt) {
-				ctr.Dropped++
-				ctr.RetryWords += w
-				extraMsgs++
-				extraWords += w
-				if attempt >= f.Budget() {
-					lost = true
-					break
-				}
-				attempt++
-			}
-			if lost {
-				ctr.Lost++
-				continue
-			}
-			ctr.Retried += int64(attempt)
-			if attempt > maxExtra {
-				maxExtra = attempt
-			}
-			for a := 0; a < attempt; a++ {
-				s.meters[sink].Spike(w)
-			}
-		}
-		if handle != nil {
-			s.meters[sink].Spike(w)
-			handle(m)
-		}
+	if down, _ := f.Crashed(origin, clock); down {
+		t.ctr.Discarded++
+		return false
 	}
-	rounds := int64(len(sorted)) + 2*int64(s.d) + int64(maxExtra)
+	if origin == dst {
+		return true
+	}
+	if cut, _ := f.CutPair(origin, dst, clock); cut {
+		t.ctr.Discarded++
+		return false
+	}
+	attempt := 0
+	for f.BroadcastDrop(dst, j, attempt) {
+		t.ctr.Dropped++
+		t.ctr.RetryWords += w
+		t.extraMsgs++
+		t.extraWords += w
+		if attempt >= f.Budget() {
+			t.ctr.Lost++
+			return false
+		}
+		attempt++
+	}
+	t.ctr.Retried += int64(attempt)
+	t.maxExtra = max(t.maxExtra, attempt)
+	for a := 0; a < attempt; a++ {
+		s.meters[dst].Spike(w)
+	}
+	return true
+}
+
+// chargePrimitive charges an analytic primitive's cost: M + 2D rounds plus
+// the worst retransmission count, every message over hops tree edges plus
+// the retransmissions, and one trace sample covering active vertices.
+func (s *Simulator) chargePrimitive(kind string, msgs []BroadcastMsg, hops int64, active int, t *faultTally) {
+	var totalWords int64
+	for j := range msgs {
+		totalWords += msgWords(&msgs[j])
+	}
+	rounds := int64(len(msgs)) + 2*int64(s.d) + int64(t.maxExtra)
+	messages := int64(len(msgs))*hops + t.extraMsgs
+	words := totalWords*hops + t.extraWords
 	s.rounds += rounds
-	s.messages += int64(len(sorted))*int64(s.d) + extraMsgs
-	s.words += totalWords*int64(s.d) + extraWords
-	s.faultCtr.Add(ctr)
+	s.messages += messages
+	s.words += words
+	s.faultCtr.Add(t.ctr)
 	if s.tracer != nil {
-		s.emitSample(s.rounds, trace.KindConvergecast, rounds, len(sorted),
-			int64(len(sorted))*int64(s.d)+extraMsgs,
-			totalWords*int64(s.d)+extraWords, ctr)
+		s.emitSample(s.rounds, kind, rounds, active, messages, words, t.ctr)
 	}
 }

@@ -203,9 +203,15 @@ func WithDiameter(d int) Option {
 }
 
 // WithTrace attaches a telemetry sink receiving per-round samples. Pass a
-// *trace.Recorder; a nil sink leaves tracing disabled.
+// *trace.Recorder; a nil sink - including a nil *trace.Recorder - leaves
+// tracing disabled, so callers need not guard an optional recorder.
 func WithTrace(t trace.Sink) Option {
-	return func(s *Simulator) { s.tracer = t }
+	return func(s *Simulator) {
+		if r, ok := t.(*trace.Recorder); ok && r == nil {
+			t = nil
+		}
+		s.tracer = t
+	}
 }
 
 // WithEdgeCapacity sets the per-round word budget of each directed edge.

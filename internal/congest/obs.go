@@ -13,6 +13,8 @@ import "lowmemroute/internal/obs"
 // the engine pays one nil check per round, so a simulator without a
 // registry behaves — and allocates — exactly as before.
 type obsHooks struct {
+	reg *obs.Registry
+
 	rounds   *obs.Counter
 	messages *obs.Counter
 	words    *obs.Counter
@@ -46,6 +48,7 @@ func WithMetrics(reg *obs.Registry) Option {
 		reg.SetHelp("congest_arena_free_chunks", "Payload-arena chunks parked on free lists after the last run.")
 		reg.SetHelp("congest_arena_free_words", "Capacity words parked on the payload-arena free lists after the last run.")
 		s.obs = &obsHooks{
+			reg:         reg,
 			rounds:      reg.Counter("congest_rounds_total"),
 			messages:    reg.Counter("congest_messages_total"),
 			words:       reg.Counter("congest_words_total"),
@@ -56,6 +59,16 @@ func WithMetrics(reg *obs.Registry) Option {
 			arenaWords:  reg.Gauge("congest_arena_free_words"),
 		}
 	}
+}
+
+// Registry returns the metrics registry the simulator exports into, or nil
+// without WithMetrics. Layers that run on the simulator (core's phase
+// progress) publish to it, so one registry reaches a whole build.
+func (s *Simulator) Registry() *obs.Registry {
+	if s.obs == nil {
+		return nil
+	}
+	return s.obs.reg
 }
 
 // obsSync publishes counter totals as of the given effective values

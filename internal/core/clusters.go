@@ -10,7 +10,6 @@ import (
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/hopset"
-	"lowmemroute/internal/obs"
 	"lowmemroute/internal/treeroute"
 )
 
@@ -19,6 +18,7 @@ const debugClusters = false
 // centry is one root's record at a host vertex during the approximate
 // cluster growth.
 type centry struct {
+	// dist is the root's current approximate distance estimate.
 	dist   float64
 	parent int
 	// via holds the tail x of the hopset edge (x, w) that produced this
@@ -535,25 +535,19 @@ func (b *builder) assemble() (*Scheme, error) {
 			s = c
 		}
 	}
-	q := b.o.TreeQ
-	if q <= 0 {
-		q = 1 / math.Sqrt(float64(s)*float64(b.n))
-	}
-	maxOffset := int(math.Sqrt(float64(s)*float64(b.n))*math.Log2(float64(b.n)+1)) + 1
-	b.o.Metrics.SetPhase(obs.Phase{Name: "tree-routing", Done: b.phasesDone, Total: numBuildPhases})
-	sp := b.o.Trace.Begin("tree-routing")
-	before := b.sim.Rounds()
-	res, err := treeroute.BuildDistributed(b.sim, trees, treeroute.DistOptions{
-		Q:         q,
-		Seed:      b.o.Seed + 2,
-		MaxOffset: maxOffset,
-		Trace:     b.o.Trace,
-		Ckpt:      b.o.Ckpt,
+	// Theorem 2's portal rate q = 1/√(sn) for s overlapping trees.
+	sn := math.Sqrt(float64(s) * float64(b.n))
+	var res *treeroute.DistResult
+	err := b.timed("tree-routing", func() (err error) {
+		res, err = treeroute.BuildDistributed(b.sim, trees, treeroute.DistOptions{
+			Q:         1 / sn,
+			Seed:      b.o.Seed + 2,
+			MaxOffset: int(sn*math.Log2(float64(b.n)+1)) + 1,
+			Trace:     b.o.Trace,
+			Ckpt:      b.o.Ckpt,
+		})
+		return err
 	})
-	b.phaseRounds["tree-routing"] += b.sim.Rounds() - before
-	sp.End()
-	b.phasesDone++
-	b.o.Metrics.SetPhase(obs.Phase{Name: "tree-routing", Done: b.phasesDone, Total: numBuildPhases})
 	if err != nil {
 		return nil, fmt.Errorf("core: tree routing: %w", err)
 	}

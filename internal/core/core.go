@@ -54,28 +54,13 @@ type Options struct {
 	Epsilon float64
 	// Seed drives all sampling.
 	Seed int64
-	// BScale scales every hop budget: level-j explorations use
-	// min(n, ⌈BScale·n^{j/k}·ln n⌉) hops and B uses j = ⌈k/2⌉. The paper's
-	// constant is 4; the default 1.5 keeps laptop-scale runs faithful
-	// without the galactic slack.
-	BScale float64
 	// Beta caps Bellman-Ford iterations over G' ∪ H (0 = run to
 	// convergence and report the realised β).
 	Beta int
-	// HopsetKappa is the hopset hierarchy depth (default 3).
-	HopsetKappa int
-	// TreeQ overrides the tree-routing portal probability (0 = auto).
-	TreeQ float64
 	// Trace, when non-nil, records one span per construction phase (the
 	// span tree behind Stats.PhaseRounds) with nested sub-phase spans from
 	// treeroute and hopset. Nil disables span recording at no cost.
 	Trace *trace.Recorder
-	// Metrics, when non-nil, receives live build progress: the current
-	// construction phase (obs.Registry.SetPhase) for the CLI progress
-	// reporter and the /metrics endpoint. Pair it with
-	// congest.WithMetrics on the simulator for the throughput counters.
-	// Nil disables publishing at no cost.
-	Metrics *obs.Registry
 	// Ckpt, when non-nil, checkpoints the build: Build attaches it to the
 	// simulator and the tree-routing phases record themselves as resumable
 	// units. The phases before tree routing are cheap (a few percent of a
@@ -86,20 +71,25 @@ type Options struct {
 	Ckpt *congest.Checkpointer
 }
 
-// numBuildPhases is the phase count published to Options.Metrics: the five
-// timed phases of Build plus the tree-routing phase run during assemble.
+// numBuildPhases is the phase count published to the simulator's metrics
+// registry: the five phases of Build plus the tree-routing phase run
+// during assemble.
 const numBuildPhases = 6
+
+// bScale scales every hop budget: level-j explorations use
+// min(n, ⌈bScale·n^{j/k}·ln n⌉) hops and B uses j = ⌈k/2⌉. The paper's
+// constant is 4; 1.5 keeps laptop-scale runs faithful without the
+// galactic slack (EXPERIMENTS.md, Known deviation 1).
+const bScale = 1.5
+
+// hopsetKappa is the hopset hierarchy depth κ (the number of sampling
+// levels of internal/hopset).
+const hopsetKappa = 3
 
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Epsilon <= 0 {
 		out.Epsilon = 0.05
-	}
-	if out.BScale <= 0 {
-		out.BScale = 1.5
-	}
-	if out.HopsetKappa < 2 {
-		out.HopsetKappa = 3
 	}
 	return out
 }
@@ -202,17 +192,19 @@ func compiled(s *Scheme, err error) (*Scheme, error) {
 }
 
 // timed runs a phase under a trace span, records the simulation rounds
-// it consumed, and publishes the phase to the metrics registry so the
-// progress reporter and /metrics can tell where a long build is.
+// it consumed, and publishes the phase to the simulator's metrics registry
+// (congest.WithMetrics) so the progress reporter and /metrics can tell
+// where a long build is.
 func (b *builder) timed(name string, phase func() error) error {
-	b.o.Metrics.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
+	reg := b.sim.Registry()
+	reg.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
 	sp := b.o.Trace.Begin(name)
 	before := b.sim.Rounds()
 	err := phase()
 	b.phaseRounds[name] += b.sim.Rounds() - before
 	sp.End()
 	b.phasesDone++
-	b.o.Metrics.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
+	reg.SetPhase(obs.Phase{Name: name, Done: b.phasesDone, Total: numBuildPhases})
 	return err
 }
 
@@ -249,9 +241,9 @@ type builder struct {
 }
 
 // hopBudget returns the level-j exploration hop budget
-// min(n, ⌈BScale·n^{j/k}·ln n⌉).
+// min(n, ⌈bScale·n^{j/k}·ln n⌉).
 func (b *builder) hopBudget(j int) int {
-	h := int(math.Ceil(b.o.BScale * math.Pow(float64(b.n), float64(j)/float64(b.k)) * math.Log(float64(b.n)+1)))
+	h := int(math.Ceil(bScale * math.Pow(float64(b.n), float64(j)/float64(b.k)) * math.Log(float64(b.n)+1)))
 	if h < 2 {
 		h = 2
 	}
@@ -419,7 +411,7 @@ func (b *builder) buildHopset() error {
 	}
 	b.vg = vg
 	hs, err := hopset.Build(b.sim, vg, hopset.Options{
-		Kappa: b.o.HopsetKappa,
+		Kappa: hopsetKappa,
 		Seed:  b.o.Seed + 1,
 		Trace: b.o.Trace,
 	})

@@ -341,12 +341,15 @@ func (c *Compiled) BroadcastDrop(v, msg, attempt int) bool {
 //
 // Comma-separated key=value tokens; bare tokens extend the most recent
 // crash= or part= list. Crash entries accept an optional @from-until window
-// (crash=5@100-200); omitted windows mean "down forever from round 0".
-// part= starts one partition group per occurrence, with an optional window
-// on its first member (part=0@50-90,1,2).
+// (crash=5@100-200) or an open @from- window (crash=5@100-, down from round
+// 100 on); omitted windows mean "down forever from round 0". part= starts
+// one partition group per occurrence, with an optional window on its first
+// member (part=0@50-90,1,2). Vertex ids are non-negative and probabilities
+// lie in [0, 1]. "none", which String renders for an empty plan, parses to
+// the empty plan.
 func ParseSpec(spec string) (*Plan, error) {
 	p := &Plan{}
-	if strings.TrimSpace(spec) == "" {
+	if t := strings.TrimSpace(spec); t == "" || t == "none" {
 		return p, nil
 	}
 	mode := "" // which list bare tokens extend
@@ -363,8 +366,8 @@ func ParseSpec(spec string) (*Plan, error) {
 		}
 		switch {
 		case hasKey && key == "drop":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			f, err := parseProb(val)
+			if err != nil {
 				return nil, fmt.Errorf("faults: bad drop probability %q", val)
 			}
 			p.Drop = f
@@ -375,8 +378,8 @@ func ParseSpec(spec string) (*Plan, error) {
 			}
 			p.Delay = d
 		case hasKey && key == "dup":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			f, err := parseProb(val)
+			if err != nil {
 				return nil, fmt.Errorf("faults: bad dup probability %q", val)
 			}
 			p.Duplicate = f
@@ -416,7 +419,7 @@ func ParseSpec(spec string) (*Plan, error) {
 			p.Crashes = append(p.Crashes, cr)
 		case !hasKey && mode == "part":
 			v, err := strconv.Atoi(val)
-			if err != nil {
+			if err != nil || v < 0 {
 				return nil, fmt.Errorf("faults: bad partition member %q", val)
 			}
 			pt := &p.Partitions[len(p.Partitions)-1]
@@ -428,7 +431,19 @@ func ParseSpec(spec string) (*Plan, error) {
 	return p, nil
 }
 
-// parseCrash parses "v" or "v@from-until".
+// parseProb parses a probability in [0, 1]; NaN is rejected.
+func parseProb(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if !(f >= 0 && f <= 1) {
+		return 0, fmt.Errorf("faults: probability %v outside [0, 1]", f)
+	}
+	return f, nil
+}
+
+// parseCrash parses "v", "v@from-until" or "v@from-".
 func parseCrash(s string) (Crash, error) {
 	v, w, err := parseWindowed(s)
 	if err != nil {
@@ -437,28 +452,46 @@ func parseCrash(s string) (Crash, error) {
 	return Crash{Vertex: v, From: w.from, Until: w.until}, nil
 }
 
-// parseWindowed parses "v" or "v@from-until" into a vertex and a window
-// (default: down forever from round 0).
+// parseWindowed parses "v", "v@from-until" or "v@from-" into a vertex
+// and a window (default: down forever from round 0; an empty until never
+// clears).
 func parseWindowed(s string) (int, window, error) {
 	vs, ws, hasWin := strings.Cut(s, "@")
 	v, err := strconv.Atoi(vs)
-	if err != nil {
+	if err != nil || v < 0 {
 		return 0, window{}, fmt.Errorf("faults: bad vertex %q", s)
 	}
 	w := window{from: 0, until: Forever}
 	if hasWin {
+		bad := fmt.Errorf("faults: bad window %q (want from-until or from-)", ws)
 		fs, us, ok := strings.Cut(ws, "-")
 		if !ok {
-			return 0, window{}, fmt.Errorf("faults: bad window %q (want from-until)", ws)
+			return 0, window{}, bad
 		}
-		from, err1 := strconv.ParseInt(fs, 10, 64)
-		until, err2 := strconv.ParseInt(us, 10, 64)
-		if err1 != nil || err2 != nil || until <= from {
-			return 0, window{}, fmt.Errorf("faults: bad window %q (want from-until)", ws)
+		if w.from, err = strconv.ParseInt(fs, 10, 64); err != nil {
+			return 0, window{}, bad
 		}
-		w = window{from: from, until: until}
+		if us != "" {
+			if w.until, err = strconv.ParseInt(us, 10, 64); err != nil || w.until <= w.from {
+				return 0, window{}, bad
+			}
+		}
 	}
 	return v, w, nil
+}
+
+// windowSuffix renders a window in parseWindowed's form: nothing for the
+// default (from round 0, forever), "@from-" for a window that opens later
+// and never clears, "@from-until" for a bounded one. An Until <= From
+// other than Forever never clears (see Crash).
+func windowSuffix(from, until int64) string {
+	switch {
+	case until != Forever && until > from:
+		return fmt.Sprintf("@%d-%d", from, until)
+	case from > 0:
+		return fmt.Sprintf("@%d-", from)
+	}
+	return ""
 }
 
 // String renders a plan back into ParseSpec form (for reports and logs).
@@ -493,11 +526,7 @@ func (p *Plan) String() string {
 	}
 	for _, cr := range p.Crashes {
 		sep()
-		if cr.Until == Forever || cr.Until <= cr.From {
-			fmt.Fprintf(&b, "crash=%d", cr.Vertex)
-		} else {
-			fmt.Fprintf(&b, "crash=%d@%d-%d", cr.Vertex, cr.From, cr.Until)
-		}
+		fmt.Fprintf(&b, "crash=%d%s", cr.Vertex, windowSuffix(cr.From, cr.Until))
 	}
 	for _, pt := range p.Partitions {
 		sep()
@@ -506,10 +535,9 @@ func (p *Plan) String() string {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if i == 0 && pt.Until != Forever && pt.Until > pt.From {
-				fmt.Fprintf(&b, "%d@%d-%d", v, pt.From, pt.Until)
-			} else {
-				fmt.Fprintf(&b, "%d", v)
+			fmt.Fprintf(&b, "%d", v)
+			if i == 0 {
+				b.WriteString(windowSuffix(pt.From, pt.Until))
 			}
 		}
 	}

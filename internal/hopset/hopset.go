@@ -11,6 +11,11 @@ import (
 	"lowmemroute/internal/trace"
 )
 
+// hopGrowth multiplies the exploration hop budget at each sampling level:
+// cluster radii grow with the level, so level i explores B·3^i hops
+// (capped at 4n).
+const hopGrowth = 3
+
 // Options configures the hopset construction.
 type Options struct {
 	// Kappa is the number of sampling levels (the κ of Theorem 1).
@@ -19,9 +24,6 @@ type Options struct {
 	Kappa int
 	// Seed drives the level sampling.
 	Seed int64
-	// HopGrowth multiplies the exploration hop budget at each level
-	// (cluster radii grow with level). Defaults to 3.
-	HopGrowth int
 	// Trace, when non-nil, records one span per sampling level with
 	// pivot/cluster sub-spans. Nil disables span recording at no cost.
 	Trace *trace.Recorder
@@ -58,10 +60,6 @@ func Build(sim *congest.Simulator, vg *VirtualGraph, opts Options) (*Hopset, err
 	kappa := opts.Kappa
 	if kappa < 2 {
 		kappa = 3
-	}
-	growth := opts.HopGrowth
-	if growth < 1 {
-		growth = 3
 	}
 	m := vg.M()
 	hs := &Hopset{
@@ -147,7 +145,7 @@ func Build(sim *congest.Simulator, vg *VirtualGraph, opts Options) (*Hopset, err
 		}
 
 		level = next
-		hops *= growth
+		hops *= hopGrowth
 		if hops > maxHops {
 			hops = maxHops
 		}

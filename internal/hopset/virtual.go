@@ -13,6 +13,11 @@
 // every hopset edge stores its underlying host path (path recovery), and the
 // realised hop bound β is measured rather than taken from the paper's
 // closed-form constant. See DESIGN.md for the substitution rationale.
+//
+// The construction's one knob is the hierarchy depth κ (Options.Kappa,
+// which E7's ablation varies; the paper's scheme builds with κ = 3). The
+// exploration hop budget starts at the virtual graph's B and grows by a
+// fixed factor of 3 per level.
 package hopset
 
 import (

@@ -16,19 +16,20 @@ import (
 	"lowmemroute/internal/tz"
 )
 
-// LookupHistogram names the per-lookup wall-latency histogram recorded by
-// the experiment drivers (and the facade): nanoseconds in, exposed in
+// lookupHistogram names the per-lookup wall-latency histogram recorded by
+// the experiment drivers and the facade: nanoseconds in, exposed in
 // seconds.
-const LookupHistogram = "route_lookup_seconds"
+const lookupHistogram = "route_lookup_seconds"
 
-// lookupHist fetches (or lazily creates) the lookup-latency histogram of
+// LookupHist fetches (or lazily creates) the lookup-latency histogram of
 // reg; nil registry, nil histogram — the stretch loops then skip timing.
-func lookupHist(reg *obs.Registry) *obs.Histogram {
+// It is the one place that names and documents the family.
+func LookupHist(reg *obs.Registry) *obs.Histogram {
 	if reg == nil {
 		return nil
 	}
-	reg.SetHelp(LookupHistogram, "Wall-clock latency of one Route lookup, in seconds.")
-	return reg.Histogram(LookupHistogram, 1e-9)
+	reg.SetHelp(lookupHistogram, "Wall-clock latency of one Route lookup, in seconds.")
+	return reg.Histogram(lookupHistogram, 1e-9)
 }
 
 // SchemeRow is one measured row of the paper's Table 1: a general-graph
@@ -70,7 +71,7 @@ type Table1Config struct {
 	Faults *faults.Plan
 	// Metrics, when non-nil, receives live engine counters from the
 	// simulated constructions, build-phase progress from the paper scheme,
-	// and the per-lookup latency histogram (LookupHistogram) from every
+	// and the per-lookup latency histogram (LookupHist) from every
 	// scheme's stretch measurement.
 	Metrics *obs.Registry
 	// Shards sets the paper scheme's parallel execution shard count
@@ -108,7 +109,7 @@ func RunTable1(cfg Table1Config) ([]SchemeRow, error) {
 func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error) {
 	row := SchemeRow{Scheme: name, Family: cfg.Family, N: g.N(), K: cfg.K}
 	r := rand.New(rand.NewSource(cfg.Seed + 7))
-	lat := lookupHist(cfg.Metrics)
+	lat := LookupHist(cfg.Metrics)
 	switch name {
 	case "tz":
 		s, err := tz.Build(g, tz.Options{K: cfg.K, Seed: cfg.Seed})
@@ -139,19 +140,12 @@ func runScheme(name string, g *graph.Graph, cfg Table1Config) (SchemeRow, error)
 		row.LabelWords = s.MaxLabelWords()
 		row.Stretch = MeasureStretchObserved(g, s, cfg.Pairs, r, lat)
 	case "paper":
-		simOpts := []congest.Option{congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
-			congest.WithShards(cfg.Shards)}
-		if cfg.Trace != nil {
-			simOpts = append(simOpts, congest.WithTrace(cfg.Trace))
-		}
-		if cfg.Faults != nil && !cfg.Faults.Empty() {
-			simOpts = append(simOpts, congest.WithFaults(cfg.Faults))
-		}
-		sim := congest.New(g, simOpts...)
+		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
+			congest.WithShards(cfg.Shards), congest.WithTrace(cfg.Trace), congest.WithFaults(cfg.Faults))
 		cfg.Trace.Attach(sim)
 		sp := cfg.Trace.Begin(fmt.Sprintf("paper[n=%d,k=%d]", g.N(), cfg.K))
 		s, err := core.Build(sim, core.Options{
-			K: cfg.K, Seed: cfg.Seed, Trace: cfg.Trace, Metrics: cfg.Metrics,
+			K: cfg.K, Seed: cfg.Seed, Trace: cfg.Trace,
 		})
 		sp.End()
 		if err != nil {
@@ -261,11 +255,8 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		row.LabelWords = s.MaxLabelWords()
 		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
 	case "paper-tree":
-		simOpts := []congest.Option{congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics)}
-		if cfg.Trace != nil {
-			simOpts = append(simOpts, congest.WithTrace(cfg.Trace))
-		}
-		sim := congest.New(g, simOpts...)
+		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
+			congest.WithTrace(cfg.Trace))
 		cfg.Trace.Attach(sim)
 		sp := cfg.Trace.Begin(fmt.Sprintf("paper-tree[n=%d]", g.N()))
 		res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree},

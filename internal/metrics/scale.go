@@ -95,7 +95,7 @@ func RunScale(cfg ScaleConfig) (*ScaleRow, error) {
 	sim := congest.NewTopo(csr, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 		congest.WithShards(cfg.Shards))
 	t1 := time.Now()
-	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Metrics: cfg.Metrics, Ckpt: cfg.Ckpt})
+	s, err := core.Build(sim, core.Options{K: cfg.K, Seed: cfg.Seed, Ckpt: cfg.Ckpt})
 	if err != nil {
 		return nil, fmt.Errorf("metrics: scale build n=%d k=%d: %w", cfg.N, cfg.K, err)
 	}

@@ -9,8 +9,10 @@
 // allocation-free Lookup and Step. Packets themselves are recycled
 // through a sync.Pool - trace, crankback, and tried-tree buffers survive
 // across sends - so a steady packet stream allocates only the caller-facing
-// delivery path. The runtime has a managed lifecycle: Close stops every
-// goroutine and waits for them (no fire-and-forget).
+// delivery path. Each node's inbox holds a fixed 64 packets; a sender
+// blocks on a saturated node (backpressure). The runtime has a managed
+// lifecycle: Close stops every goroutine and waits for them (no
+// fire-and-forget).
 //
 // The network degrades gracefully under node crashes (Crash/Recover): a node
 // about to forward into a crashed neighbor re-chooses the packet's cluster
@@ -85,36 +87,13 @@ type Network struct {
 // ErrClosed is returned by Send after Close.
 var ErrClosed = errors.New("router: network closed")
 
-// defaultQueueDepth bounds each node's inbox unless WithQueueDepth says
-// otherwise; senders block when a node is saturated (backpressure, like a
-// real forwarding queue).
+// defaultQueueDepth bounds each node's inbox; senders block when a node is
+// saturated (backpressure, like a real forwarding queue).
 const defaultQueueDepth = 64
-
-// Option configures a Network at construction.
-type Option func(*config)
-
-type config struct {
-	queueDepth int
-}
-
-// WithQueueDepth sets the per-node inbox capacity (default 64). Depth <= 0
-// panics: an unbuffered inbox deadlocks a node forwarding to itself.
-func WithQueueDepth(depth int) Option {
-	return func(c *config) {
-		if depth <= 0 {
-			panic(fmt.Sprintf("router: queue depth must be positive, got %d", depth))
-		}
-		c.queueDepth = depth
-	}
-}
 
 // New starts one forwarding goroutine per node of the compiled table. The
 // table is read-only and may be shared with other readers.
-func New(tab *dataplane.Table, opts ...Option) *Network {
-	cfg := config{queueDepth: defaultQueueDepth}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func New(tab *dataplane.Table) *Network {
 	n := tab.N()
 	net := &Network{
 		tab:   tab,
@@ -126,7 +105,7 @@ func New(tab *dataplane.Table, opts ...Option) *Network {
 		return &Packet{done: make(chan Delivery, 1)}
 	}
 	for v := 0; v < n; v++ {
-		net.inbox[v] = make(chan *Packet, cfg.queueDepth)
+		net.inbox[v] = make(chan *Packet, defaultQueueDepth)
 	}
 	for v := 0; v < n; v++ {
 		net.wg.Add(1)

@@ -71,7 +71,9 @@ type Report struct {
 
 // Path is a routed walk through the network.
 type Path struct {
-	Nodes  []int
+	Nodes []int
+	// Weight is the walk's length: the sum of the weights of the links
+	// Nodes crosses, in path order. PacketNetwork.Send leaves it zero.
 	Weight float64
 	// Degraded marks a packet-network delivery that was rerouted around at
 	// least one crashed node: the walk is still valid, but its stretch may
@@ -104,36 +106,19 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 	if net.Nodes() > 1 && !net.Connected() {
 		return nil, fmt.Errorf("lowmemroute: network is not connected")
 	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
+	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	s, err := core.Build(sim, core.Options{
 		K:       cfg.K,
 		Epsilon: cfg.Epsilon,
 		Seed:    cfg.Seed,
 		Trace:   cfg.Trace.recorder(),
-		Metrics: cfg.Metrics.Registry(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	var lookups *obs.Histogram
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		reg.SetHelp(metrics.LookupHistogram, "Wall-clock latency of one Route lookup, in seconds.")
-		lookups = reg.Histogram(metrics.LookupHistogram, 1e-9)
-	}
 	sch := &Scheme{
 		inner:   s,
-		lookups: lookups,
+		lookups: metrics.LookupHist(cfg.Metrics.Registry()),
 		report: Report{
 			Rounds:             sim.Rounds(),
 			Messages:           sim.Messages(),
@@ -152,6 +137,17 @@ func Build(net *Network, cfg Config) (*Scheme, error) {
 		},
 	}
 	return sch, nil
+}
+
+// newSim returns the simulator a facade build runs on, carrying the
+// build's seed, fault plan, tracer and metrics registry. The layers the
+// build runs on it (core, treeroute) reach telemetry only through it.
+func newSim(net *Network, seed int64, tr *Tracer, plan *FaultPlan, m *Metrics) *congest.Simulator {
+	rec := tr.recorder()
+	sim := congest.New(net.g, congest.WithSeed(seed), congest.WithTrace(rec),
+		congest.WithFaults(plan.internal()), congest.WithMetrics(m.Registry()))
+	rec.Attach(sim)
+	return sim
 }
 
 // Route forwards a message from src to dst using only src's table, dst's
@@ -270,46 +266,18 @@ type TreeReport struct {
 type TreeScheme struct {
 	inner  *treeroute.Scheme
 	tree   *Tree
+	up     []float64 // member-indexed up-link weights (graph.Tree.UpWeights)
 	report TreeReport
 }
 
 // BuildTree runs the paper's distributed tree-routing construction for one
-// tree embedded in the network.
+// tree embedded in the network: BuildTrees with a single tree.
 func BuildTree(net *Network, tree *Tree, cfg TreeConfig) (*TreeScheme, error) {
-	if net == nil || tree == nil {
-		return nil, fmt.Errorf("lowmemroute: nil network or tree")
-	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
-	res, err := treeroute.BuildDistributed(sim, []*graph.Tree{tree.t},
-		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
+	schemes, _, err := BuildTrees(net, []*Tree{tree}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &TreeScheme{
-		inner: res.Schemes[0],
-		tree:  tree,
-		report: TreeReport{
-			Rounds:        sim.Rounds(),
-			Messages:      sim.Messages(),
-			PeakMemory:    sim.PeakMemory(),
-			AvgMemory:     sim.AvgPeakMemory(),
-			Portals:       res.Portals[0],
-			MaxTableWords: res.Schemes[0].MaxTableWords(),
-			MaxLabelWords: res.Schemes[0].MaxLabelWords(),
-			Faults:        publicFaultReport(sim.FaultCounters()),
-		},
-	}, nil
+	return schemes[0], nil
 }
 
 // BuildTrees runs the distributed tree-routing construction for several
@@ -332,18 +300,7 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		}
 		inner[i] = t.t
 	}
-	simOpts := []congest.Option{congest.WithSeed(cfg.Seed)}
-	if rec := cfg.Trace.recorder(); rec != nil {
-		simOpts = append(simOpts, congest.WithTrace(rec))
-	}
-	if cfg.Faults != nil {
-		simOpts = append(simOpts, congest.WithFaults(cfg.Faults.internal()))
-	}
-	if reg := cfg.Metrics.Registry(); reg != nil {
-		simOpts = append(simOpts, congest.WithMetrics(reg))
-	}
-	sim := congest.New(net.g, simOpts...)
-	cfg.Trace.recorder().Attach(sim)
+	sim := newSim(net, cfg.Seed, cfg.Trace, cfg.Faults, cfg.Metrics)
 	res, err := treeroute.BuildDistributed(sim, inner,
 		treeroute.DistOptions{Seed: cfg.Seed, Trace: cfg.Trace.recorder()})
 	if err != nil {
@@ -356,30 +313,34 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 		AvgMemory:  sim.AvgPeakMemory(),
 		Faults:     publicFaultReport(sim.FaultCounters()),
 	}
-	out := make([]*TreeScheme, len(trees))
 	for i := range trees {
 		rep.Portals += res.Portals[i]
-		if w := res.Schemes[i].MaxTableWords(); w > rep.MaxTableWords {
-			rep.MaxTableWords = w
-		}
-		if w := res.Schemes[i].MaxLabelWords(); w > rep.MaxLabelWords {
-			rep.MaxLabelWords = w
-		}
-		out[i] = &TreeScheme{inner: res.Schemes[i], tree: trees[i], report: rep}
+		rep.MaxTableWords = max(rep.MaxTableWords, res.Schemes[i].MaxTableWords())
+		rep.MaxLabelWords = max(rep.MaxLabelWords, res.Schemes[i].MaxLabelWords())
 	}
-	for i := range out {
-		out[i].report = rep
+	out := make([]*TreeScheme, len(trees))
+	for i, t := range trees {
+		out[i] = &TreeScheme{inner: res.Schemes[i], tree: t, up: inner[i].UpWeights(sim.Topo()), report: rep}
 	}
 	return out, rep, nil
 }
 
-// Route forwards a message from src to dst along the unique tree path.
+// Route forwards a message from src to dst along the unique tree path;
+// the Path's Weight sums the tree links it crosses.
 func (t *TreeScheme) Route(src, dst int) (Path, error) {
 	nodes, err := t.inner.Route(src, dst)
 	if err != nil {
 		return Path{}, err
 	}
-	return Path{Nodes: nodes, Weight: float64(len(nodes) - 1)}, nil
+	var w float64
+	for i := 1; i < len(nodes); i++ {
+		child := nodes[i-1]
+		if t.tree.t.Parent(child) != nodes[i] {
+			child = nodes[i]
+		}
+		w += t.up[t.tree.t.MemberIndex(child)]
+	}
+	return Path{Nodes: nodes, Weight: w}, nil
 }
 
 // RouteAppend is Route with a caller-provided node buffer: the tree path is
