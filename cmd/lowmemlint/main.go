@@ -9,15 +9,13 @@
 // tree.
 //
 // Exit-code contract: 0 when the run is clean (or when an artifact was
-// written via -write-baseline / -graph / -graph-dot), 1 when there are fresh
-// findings or stale baseline entries, and 2 when flags are invalid or
-// packages fail to load.
+// written via -graph / -graph-dot), 1 when there are findings (there is no
+// baseline: every finding counts), and 2 when flags are invalid or packages
+// fail to load.
 //
 // Flags:
 //
-//	-json                  emit the lowmemlint/v2 JSON report (per-finding severity)
-//	-baseline FILE         apply a baseline file; stale entries are errors
-//	-write-baseline FILE   write current findings as a fresh baseline and exit
+//	-json                  emit the lowmemlint/v3 JSON report (per-finding severity)
 //	-graph FILE            write the lowmemlint/protocol-v1 kind graph as JSON and exit
 //	-graph-dot FILE        write the kind graph as Graphviz dot and exit
 //	-enable a,b            run only the named analyzers
@@ -45,14 +43,12 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("lowmemlint", flag.ContinueOnError)
 	var (
-		jsonOut       = fs.Bool("json", false, "emit the lowmemlint/v1 JSON report")
-		baselinePath  = fs.String("baseline", "", "baseline file to apply (stale entries are errors)")
-		writeBaseline = fs.String("write-baseline", "", "write current findings to this baseline file and exit")
-		graphJSON     = fs.String("graph", "", "write the protocol kind graph as JSON to this file and exit")
-		graphDot      = fs.String("graph-dot", "", "write the protocol kind graph as Graphviz dot to this file and exit")
-		enable        = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable       = fs.String("disable", "", "comma-separated analyzers to skip")
-		list          = fs.Bool("list", false, "list analyzers and exit")
+		jsonOut   = fs.Bool("json", false, "emit the "+lint.ReportSchema+" JSON report")
+		graphJSON = fs.String("graph", "", "write the protocol kind graph as JSON to this file and exit")
+		graphDot  = fs.String("graph-dot", "", "write the protocol kind graph as Graphviz dot to this file and exit")
+		enable    = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
+		disable   = fs.String("disable", "", "comma-separated analyzers to skip")
+		list      = fs.Bool("list", false, "list analyzers and exit")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -94,30 +90,7 @@ func run(argv []string) int {
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(res.Findings)
-		if err := lint.WriteBaseline(*writeBaseline, b); err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		fmt.Printf("lowmemlint: wrote %d baseline entr(ies) to %s\n", len(b.Entries), *writeBaseline)
-		return 0
-	}
-
-	fresh := res.Findings
-	var stale []lint.BaselineEntry
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
-			return 2
-		}
-		fresh, stale = b.Apply(res.Findings)
-		baselined = len(res.Findings) - len(fresh)
-	}
-
-	report := lint.NewReport(fresh, stale, baselined)
+	report := lint.NewReport(res.Findings)
 	if *jsonOut {
 		if err := report.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "lowmemlint:", err)
@@ -126,7 +99,7 @@ func run(argv []string) int {
 	} else {
 		report.WriteText(os.Stdout)
 	}
-	if len(fresh) > 0 || len(stale) > 0 {
+	if len(res.Findings) > 0 {
 		return 1
 	}
 	return 0

@@ -428,6 +428,10 @@ func (s *Simulator) appendEngineCkpt(dst []uint64, executed int) []uint64 {
 	return dst
 }
 
+// msgCkptMinWords is the fixed part of a checkpointed message: sender,
+// kind, four inline words, size and Ext length.
+const msgCkptMinWords = 8
+
 func appendMsgCkpt(dst []uint64, m *Message) []uint64 {
 	dst = append(dst, uint64(int64(m.From)), uint64(m.Payload.Kind),
 		m.Payload.W0, m.Payload.W1, m.Payload.W2, m.Payload.W3,
@@ -441,7 +445,7 @@ func (s *Simulator) readMsgCkpt(r *trace.WordReader) Message {
 	m.Payload.W0, m.Payload.W1 = r.Word(), r.Word()
 	m.Payload.W2, m.Payload.W3 = r.Word(), r.Word()
 	m.Words = r.Int()
-	if n := r.Int(); n > 0 {
+	if n := r.Count(1); n > 0 {
 		m.Payload.Ext = s.arena.clone(r.Take(n))
 	}
 	return m
@@ -487,7 +491,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	if s.faultQ != nil {
 		clear(s.faultQ)
 	}
-	fqCount := int(r.Word())
+	fqCount := r.Count(5)
 	for i := 0; i < fqCount; i++ {
 		e := r.Int()
 		seq := r.Word()
@@ -508,7 +512,8 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	if executed < 0 {
 		return fmt.Errorf("congest: checkpoint executed-round count %d", executed)
 	}
-	alen := r.Int()
+	// Each active vertex takes one word here and two in its inbox header.
+	alen := r.Count(3)
 	s.actList = s.actList[:0]
 	for i := 0; i < alen; i++ {
 		v := r.Int()
@@ -519,7 +524,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	}
 	for _, v32 := range s.actList {
 		v := int(v32)
-		cnt := r.Int()
+		cnt := r.Count(msgCkptMinWords)
 		s.inboxMax[v] = int32(r.Int())
 		in := s.inbox[v][:0]
 		for i := 0; i < cnt; i++ {
@@ -530,10 +535,10 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 	for sh := range s.shardCur {
 		s.shardCur[sh] = s.shardCur[sh][:0]
 	}
-	nd := r.Int()
+	nd := r.Count(2)
 	for i := 0; i < nd; i++ {
 		v := r.Int()
-		cnt := r.Int()
+		cnt := r.Count(3)
 		if v < 0 || v >= s.N() || cnt < 0 || int(s.inStart[v])+cnt > int(s.inStart[v+1]) {
 			return fmt.Errorf("congest: checkpoint dirty destination %d with %d edges out of range", v, cnt)
 		}
@@ -541,7 +546,7 @@ func (s *Simulator) restoreEngineCkpt(words []uint64) error {
 		for j := 0; j < cnt; j++ {
 			e := r.Int()
 			sent := r.Int()
-			k := r.Int()
+			k := r.Count(msgCkptMinWords)
 			if e < 0 || e >= len(s.outTo) || int(s.outTo[e]) != v {
 				return fmt.Errorf("congest: checkpoint queue on edge %d is not an in-edge of %d", e, v)
 			}

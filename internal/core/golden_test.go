@@ -96,32 +96,45 @@ func TestBuildGolden(t *testing.T) {
 	}
 }
 
-// TestGeometricStreamGolden pins the geometric generator's edge stream and
+// TestGeometricStreamGolden pins every generator family's edge stream and
 // its RNG consumption: the metrics experiments keep drawing from the same
 // *rand.Rand after Generate, so the next Float64 must not move either.
+// Generate and GenerateCSR share one family table, so this pins both.
 func TestGeometricStreamGolden(t *testing.T) {
-	const (
-		wantEdges = "57827e75af0dcaf7985558c1c45addbdebbc98afe95e5dbaa9d82cebb63059fd"
-		wantNext  = uint64(0x3fe6b5473cf8a49e)
-	)
-	r := rand.New(rand.NewSource(7))
-	g, err := graph.Generate(graph.FamilyGeometric, 128, r)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		family    graph.Family
+		wantEdges string
+		wantNext  uint64
+	}{
+		{graph.FamilyGeometric, "57827e75af0dcaf7985558c1c45addbdebbc98afe95e5dbaa9d82cebb63059fd", 0x3fe6b5473cf8a49e},
+		{graph.FamilyErdosRenyi, "866b7f1b6270f921ef669d01a11ab26950f5cc217ed3ae21485d783e7d38402b", 0x3f8f2428f4a76527},
+		{graph.FamilyGrid, "da0d743302602c4363c5d1bf094944f203c987ba7338747e3bea32178173b1c3", 0x3fd1bda5833629df},
+		{graph.FamilyTorus, "3d1417cd9e416efc2ae439b02b561407f60dc06352062f578733c78878e317c3", 0x3fec5b1db35e1481},
+		{graph.FamilyPowerLaw, "3c7501c87a3bcc71f1ea417567fc4ade8633c340245d593b5f9084e946965980", 0x3fec69a811548360},
+		{graph.FamilyHypercube, "c28d88611a238fc68cbcbc07f66ab5842eb604d794b08b7d8a21abc8427891ee", 0x3fe41744ab8ddbc4},
 	}
-	var stream []byte
-	for u := 0; u < g.N(); u++ {
-		for _, nb := range g.Neighbors(u) {
-			stream = binary.LittleEndian.AppendUint32(stream, uint32(u))
-			stream = binary.LittleEndian.AppendUint32(stream, uint32(nb.To))
-			stream = binary.LittleEndian.AppendUint64(stream, math.Float64bits(nb.Weight))
-		}
-	}
-	if got := sha256Hex(stream); got != wantEdges {
-		t.Errorf("geometric n=128 adjacency stream hash %s, want %s", got, wantEdges)
-	}
-	if got := math.Float64bits(r.Float64()); got != wantNext {
-		t.Errorf("next Float64 after Generate has bits %#x, want %#x", got, wantNext)
+	for _, tc := range cases {
+		t.Run(string(tc.family), func(t *testing.T) {
+			r := rand.New(rand.NewSource(7))
+			g, err := graph.Generate(tc.family, 128, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stream []byte
+			for u := 0; u < g.N(); u++ {
+				for _, nb := range g.Neighbors(u) {
+					stream = binary.LittleEndian.AppendUint32(stream, uint32(u))
+					stream = binary.LittleEndian.AppendUint32(stream, uint32(nb.To))
+					stream = binary.LittleEndian.AppendUint64(stream, math.Float64bits(nb.Weight))
+				}
+			}
+			if got := sha256Hex(stream); got != tc.wantEdges {
+				t.Errorf("%s n=128 adjacency stream hash %s, want %s", tc.family, got, tc.wantEdges)
+			}
+			if got := math.Float64bits(r.Float64()); got != tc.wantNext {
+				t.Errorf("next Float64 after Generate has bits %#x, want %#x", got, tc.wantNext)
+			}
+		})
 	}
 }
 

@@ -25,14 +25,16 @@
 // one. Readers pin a table once per batch (Engine.Table) and do the whole
 // batch against that snapshot.
 //
-// This is the only cluster-forest forwarding code in the repository: the
+// This is the only Thorup-Zwick forwarding code in the repository: the
 // paper's scheme, the TZ reference and the LP15 baseline all route through
-// a compiled Table. The rule is the paper's routing phase (Appendix B):
-// pick the lowest level of the destination label whose pivot cluster
-// contains both endpoints, then follow the Thorup-Zwick tree-routing rule
-// in that cluster tree. The oracle suite in this package checks every walk
-// against the unique tree path, computed from the cluster trees without
-// this package's code.
+// a compiled Table, and so do the Theorem 2 tree schemes, compiled by
+// CompileTree as one-tree cluster forests. (EN16b's tree baseline carries a
+// routing header and follows its own rule; it keeps its own walker.) The
+// rule is the paper's routing phase (Appendix B): pick the lowest level of
+// the destination label whose pivot cluster contains both endpoints, then
+// follow the Thorup-Zwick tree-routing rule in that cluster tree. The
+// oracle suite in this package checks every walk against the unique tree
+// path, computed from the cluster trees without this package's code.
 package dataplane
 
 import (
@@ -42,6 +44,7 @@ import (
 
 	"lowmemroute/internal/clusterroute"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/treeroute"
 )
 
 // Label addresses a destination in a compiled table: its vertex id. The
@@ -192,6 +195,22 @@ func Compile(s *clusterroute.Scheme) *Table {
 		t.labStart[v+1] = int32(len(t.labRoot))
 	}
 	return t
+}
+
+// CompileTree compiles a Theorem 2 tree-routing scheme as a one-tree
+// cluster forest over the host's vertices: the tree is the only cluster,
+// and every member's label has the one entry for it. Walks follow the
+// Thorup-Zwick rule of ts exactly, with Path weights summed from the host's
+// link weights in path order. A vertex outside the tree holds no table, so
+// routing to or from it is an error — except src == dst, which RouteAppend
+// answers for any vertex in range.
+func CompileTree(ts *treeroute.Scheme, tree *graph.Tree, host *graph.CSR) *Table {
+	s := clusterroute.New(1, host.N())
+	s.AddTree(tree.Root, tree, host, ts)
+	for _, v := range tree.Members() {
+		s.AddLabelEntry(v, 0, tree.Root, ts)
+	}
+	return Compile(s)
 }
 
 // N returns the vertex count the table was compiled for.

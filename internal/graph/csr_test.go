@@ -80,9 +80,11 @@ func TestCSRWeightClassTable(t *testing.T) {
 	}
 }
 
-// TestStreamingGeneratorsByteIdentical pins the CSR generator paths
-// bit-identical — same edge order, same weights, same RNG consumption — to
-// the slice-based generators at n ∈ {256, 4096}.
+// TestStreamingGeneratorsByteIdentical pins Generate and GenerateCSR to the
+// same graph for every family at n ∈ {256, 4096}. Generate expands
+// GenerateCSR's result with ToGraph, so for the streamed families this is
+// the FromGraph∘ToGraph round trip over real generator output at scale;
+// the stream itself is pinned by core's TestGeometricStreamGolden.
 func TestStreamingGeneratorsByteIdentical(t *testing.T) {
 	families := []Family{FamilyGrid, FamilyTorus, FamilyPowerLaw, FamilyGeometric, FamilyHypercube, FamilyErdosRenyi}
 	for _, n := range []int{256, 4096} {

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -184,11 +183,13 @@ const (
 	FamilyHypercube  Family = "hypercube"
 )
 
-// Density defaults shared by Generate and GenerateCSR, so the two paths
-// cannot drift apart.
+// Density defaults of the family table (GenerateCSR, which Generate
+// expands).
 
-func erdosRenyiDefaultP(n int) float64 {
-	return 4 * math.Log(float64(n+2)) / float64(n+1)
+// erdosRenyiDefault is the Erdős–Rényi family instance, the one family
+// built slice-first: its definition is a coin flip per vertex pair.
+func erdosRenyiDefault(n int, r *rand.Rand) *Graph {
+	return ErdosRenyi(n, 4*math.Log(float64(n+2))/float64(n+1), IntegerWeights(100), r)
 }
 
 func geometricDefaultRadius(n int) float64 {
@@ -212,24 +213,16 @@ func hypercubeDefaultDim(n int) int {
 }
 
 // Generate builds an n-vertex connected instance of the named family with
-// sensible density defaults for routing benchmarks.
+// sensible density defaults for routing benchmarks. Every family but
+// Erdős–Rényi comes from GenerateCSR's table, expanded with ToGraph, so the
+// slice and CSR paths cannot drift apart.
 func Generate(f Family, n int, r *rand.Rand) (*Graph, error) {
-	switch f {
-	case FamilyErdosRenyi:
-		return ErdosRenyi(n, erdosRenyiDefaultP(n), IntegerWeights(100), r), nil
-	case FamilyGeometric:
-		return RandomGeometricCSR(n, geometricDefaultRadius(n), r).ToGraph(), nil
-	case FamilyGrid:
-		rows, cols := gridDefaultDims(n)
-		return Grid(rows, cols, IntegerWeights(10), r), nil
-	case FamilyTorus:
-		rows, cols := gridDefaultDims(n)
-		return Torus(rows, cols, IntegerWeights(10), r), nil
-	case FamilyPowerLaw:
-		return BarabasiAlbert(n, 3, IntegerWeights(100), r), nil
-	case FamilyHypercube:
-		return Hypercube(hypercubeDefaultDim(n), IntegerWeights(10), r), nil
-	default:
-		return nil, fmt.Errorf("graph: unknown family %q", f)
+	if f == FamilyErdosRenyi {
+		return erdosRenyiDefault(n, r), nil
 	}
+	c, err := GenerateCSR(f, n, r)
+	if err != nil {
+		return nil, err
+	}
+	return c.ToGraph(), nil
 }

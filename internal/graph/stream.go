@@ -268,8 +268,7 @@ func BarabasiAlbertCSR(n, m int, w WeightFunc, r *rand.Rand) *CSR {
 }
 
 // RandomGeometricCSR builds the random geometric graph directly into a CSR
-// using O(n) cell-bucket scratch; Generate's geometric family expands it
-// with ToGraph.
+// using O(n) cell-bucket scratch.
 func RandomGeometricCSR(n int, radius float64, r *rand.Rand) *CSR {
 	b := NewCSRBuilder(n)
 	streamGeometric(n, radius, r, b.AddEdge)
@@ -277,19 +276,15 @@ func RandomGeometricCSR(n int, radius float64, r *rand.Rand) *CSR {
 }
 
 // GenerateCSR builds an n-vertex connected instance of the named family
-// directly into a CSR with the same density defaults as Generate, emitting
-// edges in a fixed order without O(n^2) work or per-vertex slice state.
-// The Erdős–Rényi family is the one exception: its definition is a coin
-// flip per vertex pair, so it falls back to compacting the slice-built
-// graph and is not suitable for million-vertex runs.
+// directly into a CSR, emitting edges in a fixed order without O(n^2) work
+// or per-vertex slice state. It is the one family table; Generate expands
+// its result. The Erdős–Rényi family is the one exception: its definition
+// is a coin flip per vertex pair, so it compacts the slice-built graph and
+// is not suitable for million-vertex runs.
 func GenerateCSR(f Family, n int, r *rand.Rand) (*CSR, error) {
 	switch f {
 	case FamilyErdosRenyi:
-		g, err := Generate(f, n, r)
-		if err != nil {
-			return nil, err
-		}
-		return FromGraph(g), nil
+		return FromGraph(erdosRenyiDefault(n, r)), nil
 	case FamilyGeometric:
 		return RandomGeometricCSR(n, geometricDefaultRadius(n), r), nil
 	case FamilyGrid:

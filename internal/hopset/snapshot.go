@@ -60,11 +60,11 @@ func (e *Explorer) RestoreCkpt(words []uint64) error {
 	for v := range e.state {
 		e.state[v] = e.state[v][:0]
 	}
-	nonEmpty := r.Int()
+	nonEmpty := r.Count(2)
 	for i := 0; i < nonEmpty; i++ {
 		v := r.Int()
-		k := r.Int()
-		if v < 0 || v >= len(e.state) || k < 0 {
+		k := r.Count(5)
+		if v < 0 || v >= len(e.state) {
 			return fmt.Errorf("hopset: explorer section vertex %d (%d entries) out of range", v, k)
 		}
 		es := e.state[v][:0]

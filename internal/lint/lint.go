@@ -31,7 +31,7 @@ import (
 )
 
 // Diagnostic is one finding. File is relative to the module root so that
-// output and baselines are stable across checkouts.
+// output is stable across checkouts.
 type Diagnostic struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

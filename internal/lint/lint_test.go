@@ -240,121 +240,9 @@ func TestAnalyzerCodesUnique(t *testing.T) {
 	}
 }
 
-func TestBaselineApply(t *testing.T) {
-	f1 := Diagnostic{File: "a.go", Line: 3, Col: 1, Code: "LM002", Analyzer: "meteraccount", Message: "m1"}
-	f2 := Diagnostic{File: "b.go", Line: 9, Col: 5, Code: "LM003", Analyzer: "determinism", Message: "m2"}
-
-	b := NewBaseline([]Diagnostic{f1, f2})
-	fresh, stale := b.Apply([]Diagnostic{f1, f2})
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("full match: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// The baseline is line-independent: a moved finding still matches.
-	moved := f1
-	moved.Line = 99
-	fresh, stale = NewBaseline([]Diagnostic{f1}).Apply([]Diagnostic{moved})
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("moved finding: fresh=%v stale=%v", fresh, stale)
-	}
-
-	// A fixed finding leaves its baseline entry stale — that must surface.
-	fresh, stale = b.Apply([]Diagnostic{f1})
-	if len(fresh) != 0 {
-		t.Fatalf("unexpected fresh findings: %v", fresh)
-	}
-	if len(stale) != 1 || stale[0].File != "b.go" || stale[0].Code != "LM003" {
-		t.Fatalf("stale = %+v, want the b.go LM003 entry", stale)
-	}
-
-	// Counted entries go stale partially.
-	two := NewBaseline([]Diagnostic{f1, f1})
-	if two.Entries[0].Count != 2 {
-		t.Fatalf("count = %d, want 2", two.Entries[0].Count)
-	}
-	fresh, stale = two.Apply([]Diagnostic{f1})
-	if len(fresh) != 0 || len(stale) != 1 || stale[0].Count != 1 {
-		t.Fatalf("partial: fresh=%v stale=%+v", fresh, stale)
-	}
-
-	// A new finding is fresh even with a baseline present.
-	f3 := Diagnostic{File: "c.go", Line: 1, Code: "LM001", Analyzer: "congestisolation", Message: "m3"}
-	fresh, _ = b.Apply([]Diagnostic{f1, f2, f3})
-	if len(fresh) != 1 || fresh[0].File != "c.go" {
-		t.Fatalf("fresh = %v, want the c.go finding", fresh)
-	}
-}
-
-func TestBaselineRoundTripAndSchema(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline.json")
-	b := NewBaseline([]Diagnostic{{File: "a.go", Line: 1, Code: "LM004", Analyzer: "wiresize", Message: "m"}})
-	if err := WriteBaseline(path, b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != BaselineSchema || len(got.Entries) != 1 || got.Entries[0].Code != "LM004" {
-		t.Fatalf("round trip: %+v", got)
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other/v9","entries":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(bad); err == nil || !strings.Contains(err.Error(), "unsupported schema") {
-		t.Fatalf("ReadBaseline(bad schema) err = %v, want unsupported-schema error", err)
-	}
-}
-
-// TestBaselineEmptyRoundTrip pins the empty-baseline serialization: a clean
-// run writes "entries": [] (not null), and readers accept both spellings.
-func TestBaselineEmptyRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "empty.json")
-	if err := WriteBaseline(path, NewBaseline(nil)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"entries": []`) {
-		t.Errorf("empty baseline serialized without \"entries\": []:\n%s", data)
-	}
-	got, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Fatalf("entries = %+v, want none", got.Entries)
-	}
-
-	// Legacy files with "entries": null still load.
-	legacy := filepath.Join(dir, "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`{"schema":"`+BaselineSchema+`","entries":null}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadBaseline(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 0 {
-		t.Fatalf("legacy entries = %+v, want none", got.Entries)
-	}
-	fresh, stale := got.Apply(nil)
-	if len(fresh) != 0 || len(stale) != 0 {
-		t.Fatalf("Apply on legacy empty baseline: fresh=%v stale=%v", fresh, stale)
-	}
-}
-
 func TestReportJSONSchema(t *testing.T) {
 	rep := NewReport(
 		[]Diagnostic{{File: "x.go", Line: 2, Col: 7, Code: "LM001", Analyzer: "congestisolation", Message: "m"}},
-		[]BaselineEntry{{File: "y.go", Code: "LM002", Message: "gone", Count: 1}},
-		3,
 	)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
@@ -381,16 +269,13 @@ func TestReportJSONSchema(t *testing.T) {
 	if !ok {
 		t.Fatalf("summary = %v", decoded["summary"])
 	}
-	if summary["findings"] != float64(1) || summary["baselined"] != float64(3) || summary["stale"] != float64(1) {
+	if summary["findings"] != float64(1) || len(summary) != 1 {
 		t.Errorf("summary = %v", summary)
-	}
-	if _, ok := decoded["staleBaseline"].([]any); !ok {
-		t.Errorf("staleBaseline = %v", decoded["staleBaseline"])
 	}
 
 	// An empty report keeps findings as [] (not null) for consumers.
 	var empty bytes.Buffer
-	if err := NewReport(nil, nil, 0).WriteJSON(&empty); err != nil {
+	if err := NewReport(nil).WriteJSON(&empty); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(empty.String(), `"findings": []`) {

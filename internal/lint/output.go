@@ -7,35 +7,32 @@ import (
 )
 
 // ReportSchema identifies the -json output layout. v2 added the per-finding
-// "severity" field ("error" or "warning").
-const ReportSchema = "lowmemlint/v2"
+// "severity" field ("error" or "warning"); v3 dropped the baseline fields
+// ("staleBaseline", "summary.baselined", "summary.stale") with the baseline
+// itself: every finding is reported.
+const ReportSchema = "lowmemlint/v3"
 
 // Report is the machine-readable run outcome.
 type Report struct {
-	Schema   string          `json:"schema"`
-	Findings []Diagnostic    `json:"findings"`
-	Stale    []BaselineEntry `json:"staleBaseline,omitempty"`
-	Summary  ReportSummary   `json:"summary"`
+	Schema   string        `json:"schema"`
+	Findings []Diagnostic  `json:"findings"`
+	Summary  ReportSummary `json:"summary"`
 }
 
 // ReportSummary aggregates the run.
 type ReportSummary struct {
-	Findings  int `json:"findings"`
-	Baselined int `json:"baselined"`
-	Stale     int `json:"stale"`
+	Findings int `json:"findings"`
 }
 
-// NewReport assembles the report for fresh findings after baseline
-// application. baselined is the number of findings the baseline absorbed.
-func NewReport(fresh []Diagnostic, stale []BaselineEntry, baselined int) Report {
-	if fresh == nil {
-		fresh = []Diagnostic{}
+// NewReport assembles the report for a run's findings.
+func NewReport(findings []Diagnostic) Report {
+	if findings == nil {
+		findings = []Diagnostic{}
 	}
 	return Report{
 		Schema:   ReportSchema,
-		Findings: fresh,
-		Stale:    stale,
-		Summary:  ReportSummary{Findings: len(fresh), Baselined: baselined, Stale: len(stale)},
+		Findings: findings,
+		Summary:  ReportSummary{Findings: len(findings)},
 	}
 }
 
@@ -47,8 +44,8 @@ func (r Report) WriteJSON(w io.Writer) error {
 }
 
 // WriteText writes the human-readable report: one line per finding in the
-// canonical file:line:col: CODE(analyzer): message form, then stale baseline
-// entries, then a one-line summary.
+// canonical file:line:col: CODE(analyzer): message form, then a one-line
+// summary.
 func (r Report) WriteText(w io.Writer) {
 	for _, d := range r.Findings {
 		mark := ""
@@ -57,18 +54,9 @@ func (r Report) WriteText(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s:%d:%d: %s(%s): %s%s\n", d.File, d.Line, d.Col, d.Code, d.Analyzer, d.Message, mark)
 	}
-	for _, e := range r.Stale {
-		fmt.Fprintf(w, "stale baseline entry (fix landed? regenerate with make lint-baseline): %s %s %q x%d\n",
-			e.File, e.Code, e.Message, e.Count)
-	}
-	if len(r.Findings) == 0 && len(r.Stale) == 0 {
-		if r.Summary.Baselined > 0 {
-			fmt.Fprintf(w, "lowmemlint: clean (%d baselined)\n", r.Summary.Baselined)
-		} else {
-			fmt.Fprintln(w, "lowmemlint: clean")
-		}
+	if len(r.Findings) == 0 {
+		fmt.Fprintln(w, "lowmemlint: clean")
 		return
 	}
-	fmt.Fprintf(w, "lowmemlint: %d finding(s), %d baselined, %d stale baseline entr(ies)\n",
-		r.Summary.Findings, r.Summary.Baselined, r.Summary.Stale)
+	fmt.Fprintf(w, "lowmemlint: %d finding(s)\n", r.Summary.Findings)
 }

@@ -253,7 +253,7 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		s := treeroute.BuildCentralized(tree)
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
+		row.Exact = verifyCompiled(dataplane.CompileTree(s, tree, graph.FromGraph(g)), tree, pairs)
 	case "paper-tree":
 		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics),
 			congest.WithTrace(cfg.Trace))
@@ -273,7 +273,7 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		row.AvgMem = sim.AvgPeakMemory()
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
-		row.Exact = treeroute.VerifyExact(s, tree, pairs) == nil
+		row.Exact = verifyCompiled(dataplane.CompileTree(s, tree, sim.Topo()), tree, pairs)
 	case "en16b-tree":
 		sim := congest.New(g, congest.WithSeed(cfg.Seed), congest.WithMetrics(cfg.Metrics))
 		s, err := treeroute.BuildBaseline(sim, tree, treeroute.DistOptions{Seed: cfg.Seed})
@@ -288,22 +288,19 @@ func runTreeScheme(name string, g *graph.Graph, tree *graph.Tree, cfg Table2Conf
 		row.TableWords = s.MaxTableWords()
 		row.LabelWords = s.MaxLabelWords()
 		row.HeaderWords = s.MaxHeaderWords()
-		row.Exact = verifyBaselineExact(s, tree, pairs)
+		row.Exact = treeroute.VerifyExact(s.Route, tree, pairs) == nil
 	default:
 		return row, fmt.Errorf("unknown tree scheme %q", name)
 	}
 	return row, nil
 }
 
-func verifyBaselineExact(s *treeroute.BaselineScheme, tree *graph.Tree, pairs [][2]int) bool {
-	for _, p := range pairs {
-		path, err := s.Route(p[0], p[1])
-		if err != nil {
-			return false
-		}
-		if len(path)-1 != tree.TreeDistHops(p[0], p[1]) {
-			return false
-		}
+// verifyCompiled reports whether the compiled table walks every pair along
+// its unique tree path (treeroute.VerifyExact).
+func verifyCompiled(tab *dataplane.Table, tree *graph.Tree, pairs [][2]int) bool {
+	walk := func(src, dst int) ([]int, error) {
+		path, _, err := tab.Route(src, dst)
+		return path, err
 	}
-	return true
+	return treeroute.VerifyExact(walk, tree, pairs) == nil
 }

@@ -260,13 +260,28 @@ func (r *WordReader) Int() int { return int(int64(r.Word())) }
 // Bool consumes one word as a flag.
 func (r *WordReader) Bool() bool { return r.Word() != 0 }
 
+// Count consumes one word as an element count, where each element takes at
+// least minWords (>= 1) of the words that follow. A count that is negative
+// or that needs more words than are left fails the reader, skips to the end
+// and returns 0, so a decoder that sizes a loop or an allocation by Count
+// never does more work than its section has words.
+func (r *WordReader) Count(minWords int) int {
+	c := r.Int()
+	if c < 0 || c > (len(r.words)-r.pos)/minWords {
+		r.fail = true
+		r.pos = len(r.words)
+		return 0
+	}
+	return c
+}
+
 // Take consumes n words, returning a sub-slice of the payload (nil past the
 // end or for n <= 0).
 func (r *WordReader) Take(n int) []uint64 {
 	if n <= 0 {
 		return nil
 	}
-	if r.pos+n > len(r.words) {
+	if n > len(r.words)-r.pos {
 		r.fail = true
 		r.pos = len(r.words)
 		return nil

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -204,6 +205,49 @@ func TestWordReader(t *testing.T) {
 		r.Word()
 		if err := r.Done(); err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("trailing words Done()=%v", err)
+		}
+	})
+	t.Run("take-huge", func(t *testing.T) {
+		r := NewWordReader([]uint64{1, 2})
+		r.Word()
+		if got := r.Take(math.MaxInt); got != nil {
+			t.Fatalf("Take(MaxInt)=%v, want nil", got)
+		}
+		if err := r.Done(); err == nil {
+			t.Fatal("Take(MaxInt) not flagged")
+		}
+	})
+	t.Run("count", func(t *testing.T) {
+		r := NewWordReader([]uint64{2, 7, 8, 9, 10})
+		if got := r.Count(2); got != 2 {
+			t.Fatalf("Count(2)=%d, want 2", got)
+		}
+		r.Take(4)
+		if err := r.Done(); err != nil {
+			t.Fatalf("in-bounds Count reported %v", err)
+		}
+	})
+	t.Run("count-bounds", func(t *testing.T) {
+		for _, tc := range []struct {
+			words    []uint64
+			minWords int
+		}{
+			{[]uint64{3, 1, 2}, 1},       // three elements, two words left
+			{[]uint64{2, 1, 2, 3}, 2},    // two 2-word elements, three words left
+			{[]uint64{^uint64(0), 1}, 1}, // negative
+			{[]uint64{1 << 62, 1, 2}, 8}, // count × minWords overflows
+			{[]uint64{1 << 20}, 1},       // nothing left at all
+		} {
+			r := NewWordReader(tc.words)
+			if got := r.Count(tc.minWords); got != 0 {
+				t.Fatalf("Count(%d) over %v = %d, want 0", tc.minWords, tc.words, got)
+			}
+			if got := r.Word(); got != 0 {
+				t.Fatalf("read after a failed Count = %d, want 0", got)
+			}
+			if err := r.Done(); err == nil {
+				t.Fatalf("Count(%d) over %v not flagged", tc.minWords, tc.words)
+			}
 		}
 	})
 	t.Run("empty-take", func(t *testing.T) {

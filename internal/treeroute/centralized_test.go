@@ -1,4 +1,4 @@
-package treeroute
+package treeroute_test
 
 import (
 	"math"
@@ -6,7 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
+	"lowmemroute/internal/treeroute"
 )
 
 func sampleTree(t *testing.T) *graph.Tree {
@@ -27,15 +29,15 @@ func sampleTree(t *testing.T) *graph.Tree {
 
 func TestCentralizedSampleTreeExact(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiledWalk(s, tr, treeHost(tr)), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCentralizedTableIsO1(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
+	s := treeroute.BuildCentralized(tr)
 	if got := s.MaxTableWords(); got != 4 {
 		t.Fatalf("MaxTableWords=%d want 4", got)
 	}
@@ -49,7 +51,7 @@ func TestCentralizedLabelBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := BuildCentralized(tr)
+		s := treeroute.BuildCentralized(tr)
 		// Label = 1 + 2*lightEdges, lightEdges <= log2 n.
 		bound := 1 + 2*int(math.Ceil(math.Log2(float64(n))))
 		if got := s.MaxLabelWords(); got > bound {
@@ -66,8 +68,8 @@ func TestCentralizedPathTreeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiledWalk(s, tr, graph.FromGraph(g)), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 	// On a path rooted at an end there are no light edges at all.
@@ -83,8 +85,8 @@ func TestCentralizedStarTreeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiledWalk(s, tr, graph.FromGraph(g)), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 	// Star: every leaf but the heavy one is reached via one light edge.
@@ -98,8 +100,8 @@ func TestCentralizedSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	path, err := s.Route(0, 0)
+	s := treeroute.BuildCentralized(tr)
+	path, _, err := dataplane.CompileTree(s, tr, treeHost(tr)).Route(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,8 @@ func TestCentralizedSubsetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := BuildCentralized(tr)
-	if err := VerifyExact(s, tr, AllPairs(tr)); err != nil {
+	s := treeroute.BuildCentralized(tr)
+	if err := treeroute.VerifyExact(compiledWalk(s, tr, treeHost(tr)), tr, treeroute.AllPairs(tr)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Tables[0]; ok {
@@ -132,22 +134,24 @@ func TestCentralizedSubsetTree(t *testing.T) {
 
 func TestRouteErrors(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
-	if _, err := s.Route(0, 99); err == nil {
+	s := treeroute.BuildCentralized(tr)
+	host := treeHost(tr)
+	if _, _, err := dataplane.CompileTree(s, tr, host).Route(0, 99); err == nil {
 		t.Fatal("routing to unlabeled destination should fail")
 	}
-	// Corrupt the scheme: break vertex 4's interval to force a loop.
+	// Corrupt the scheme: break vertex 4's interval to force a loop, and
+	// compile again (a compiled table is a snapshot of the scheme).
 	tab := s.Tables[4]
 	tab.In, tab.Out = 999, 999
 	s.Tables[4] = tab
-	if _, err := s.Route(3, 6); err == nil {
+	if _, _, err := dataplane.CompileTree(s, tr, host).Route(3, 6); err == nil {
 		t.Fatal("corrupted scheme should be detected")
 	}
 }
 
 func TestNextHopRule(t *testing.T) {
 	tr := sampleTree(t)
-	s := BuildCentralized(tr)
+	s := treeroute.BuildCentralized(tr)
 	tests := []struct {
 		name     string
 		at, dst  int
@@ -162,7 +166,7 @@ func TestNextHopRule(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			next, arrived := NextHop(tt.at, s.Tables[tt.at], s.Labels[tt.dst])
+			next, arrived := treeroute.NextHop(tt.at, s.Tables[tt.at], s.Labels[tt.dst])
 			if arrived {
 				t.Fatal("should not have arrived")
 			}
@@ -171,7 +175,7 @@ func TestNextHopRule(t *testing.T) {
 			}
 		})
 	}
-	if _, arrived := NextHop(4, s.Tables[4], s.Labels[4]); !arrived {
+	if _, arrived := treeroute.NextHop(4, s.Tables[4], s.Labels[4]); !arrived {
 		t.Fatal("self-route should arrive immediately")
 	}
 }
@@ -188,8 +192,8 @@ func TestCentralizedExactProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := BuildCentralized(tr)
-		return VerifyExact(s, tr, SamplePairs(tr, 40, r)) == nil
+		s := treeroute.BuildCentralized(tr)
+		return treeroute.VerifyExact(compiledWalk(s, tr, graph.FromGraph(g)), tr, treeroute.SamplePairs(tr, 40, r)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -206,7 +210,7 @@ func TestCentralizedIntervalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := BuildCentralized(tr)
+		s := treeroute.BuildCentralized(tr)
 		for _, v := range tr.Members() {
 			tab := s.Tables[v]
 			if p := tr.Parent(v); p != graph.NoVertex {

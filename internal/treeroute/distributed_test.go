@@ -66,52 +66,6 @@ func TestDistributedMatchesCentralizedSmall(t *testing.T) {
 	requireSchemesEqual(t, dist, central)
 }
 
-func TestDistributedMatchesCentralizedShapes(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	shapes := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"path", graph.Path(80, graph.UnitWeights, r)},
-		{"star", graph.Star(80, graph.UnitWeights, r)},
-		{"balanced", graph.BalancedTree(81, 3, graph.UnitWeights, r)},
-		{"caterpillar", graph.Caterpillar(25, 75, graph.UnitWeights, r)},
-		{"random", graph.RandomTree(90, graph.UnitWeights, r)},
-	}
-	for _, tt := range shapes {
-		t.Run(tt.name, func(t *testing.T) {
-			tr, err := graph.SpanningTree(tt.g, 0, "dfs", r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dist, central, _ := buildBoth(t, tt.g, tr, DistOptions{Seed: 3})
-			requireSchemesEqual(t, dist, central)
-			if err := VerifyExact(dist, tr, SamplePairs(tr, 60, r)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestDistributedTreeOnGeneralGraph(t *testing.T) {
-	// The tree is a DFS spanning tree (deep) of a well-connected graph
-	// (shallow D): the regime the paper targets.
-	r := rand.New(rand.NewSource(21))
-	g, err := graph.Generate(graph.FamilyErdosRenyi, 200, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := graph.SpanningTree(g, 5, "dfs", r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist, central, _ := buildBoth(t, g, tr, DistOptions{Seed: 13})
-	requireSchemesEqual(t, dist, central)
-	if err := VerifyExact(dist, tr, SamplePairs(tr, 100, r)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDistributedSingleVertexTree(t *testing.T) {
 	g := graph.New(1)
 	tr, err := graph.NewTree(0, []int{graph.NoVertex})
@@ -304,43 +258,6 @@ func TestDistributedNoTrees(t *testing.T) {
 	}
 	if len(res.Schemes) != 0 {
 		t.Fatal("no trees -> no schemes")
-	}
-}
-
-func TestDistributedMultiTree(t *testing.T) {
-	// Several overlapping trees built in parallel: all must match their
-	// centralized references.
-	r := rand.New(rand.NewSource(55))
-	g, err := graph.Generate(graph.FamilyGeometric, 150, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trees []*graph.Tree
-	for _, root := range []int{0, 17, 42, 99} {
-		tr, err := graph.SpanningTree(g, root, "sssp", r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trees = append(trees, tr)
-	}
-	sim := congest.New(g, congest.WithSeed(5))
-	res, err := BuildDistributed(sim, trees, DistOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j, tr := range trees {
-		requireSchemesEqual(t, res.Schemes[j], BuildCentralized(tr))
-		if err := VerifyExact(res.Schemes[j], tr, SamplePairs(tr, 40, r)); err != nil {
-			t.Fatalf("tree %d: %v", j, err)
-		}
-	}
-	if len(res.Portals) != 4 {
-		t.Fatalf("Portals=%v", res.Portals)
-	}
-	for j, p := range res.Portals {
-		if p < 1 {
-			t.Fatalf("tree %d has %d portals", j, p)
-		}
 	}
 }
 

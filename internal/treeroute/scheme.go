@@ -14,14 +14,12 @@
 //     tables, O(log² n) labels, Ω(√n) memory - the scheme the paper
 //     improves upon (Table 2's first row).
 //
-// All three produce interchangeable Scheme values routed with NextHop.
+// BuildCentralized and BuildDistributed produce the same Scheme: the
+// [TZ01b] tables and labels, walked by internal/dataplane (CompileTree),
+// the repository's one Thorup-Zwick forwarder. BuildBaseline produces a
+// BaselineScheme, whose header-carrying rule (NextHopBaseline, built on
+// NextHop) has its own walker, BaselineScheme.Route.
 package treeroute
-
-import (
-	"fmt"
-
-	"lowmemroute/internal/graph"
-)
 
 // LightEdge is a non-heavy tree edge (Parent, Child) recorded in a label.
 type LightEdge struct {
@@ -96,50 +94,4 @@ func (s *Scheme) MaxLabelWords() int {
 		}
 	}
 	return mx
-}
-
-// Route walks a message from src to dst through the scheme, returning the
-// vertex path (inclusive of both endpoints). It fails if the scheme
-// misroutes (leaves the tree, exceeds 2·|T| hops, or hits a vertex without
-// a table).
-func (s *Scheme) Route(src, dst int) ([]int, error) {
-	return s.RouteAppend(src, dst, nil)
-}
-
-// RouteAppend is Route with a caller-provided path buffer: the walked path
-// is appended to path (which may be nil, or a reused buffer reset to length
-// 0) so repeated queries allocate only on buffer growth.
-func (s *Scheme) RouteAppend(src, dst int, path []int) ([]int, error) {
-	target, ok := s.Labels[dst]
-	if !ok {
-		return path, fmt.Errorf("treeroute: no label for destination %d", dst)
-	}
-	path = append(path, src)
-	cur := src
-	limit := 2*len(s.Tables) + 2
-	for steps := 0; ; steps++ {
-		if steps > limit {
-			return path, fmt.Errorf("treeroute: routing loop from %d to %d (path %v...)", src, dst, path[:min(len(path), 12)])
-		}
-		tab, ok := s.Tables[cur]
-		if !ok {
-			return path, fmt.Errorf("treeroute: no table at %d while routing %d->%d", cur, src, dst)
-		}
-		next, arrived := NextHop(cur, tab, target)
-		if arrived {
-			return path, nil
-		}
-		if next == graph.NoVertex {
-			return path, fmt.Errorf("treeroute: dead end at %d while routing %d->%d", cur, src, dst)
-		}
-		path = append(path, next)
-		cur = next
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

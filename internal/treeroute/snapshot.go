@@ -127,32 +127,28 @@ func readBools(r *trace.WordReader, xs []bool) {
 	}
 }
 
-func readIntLists(r *trace.WordReader, xs [][]int) error {
+// A list row's length word is its element count plus one (0 for nil), so
+// Count bounds it with one element's worth of words to spare; the member
+// arrays that follow every list in the section always supply them.
+func readIntLists(r *trace.WordReader, xs [][]int) {
 	for i := range xs {
-		k := r.Int()
+		k := r.Count(1)
 		if k == 0 {
 			xs[i] = nil
 			continue
-		}
-		if k < 0 {
-			return fmt.Errorf("treeroute: builder section row length %d", k)
 		}
 		row := make([]int, k-1)
 		readInts(r, row)
 		xs[i] = row
 	}
-	return nil
 }
 
-func readLightLists(r *trace.WordReader, xs [][]LightEdge) error {
+func readLightLists(r *trace.WordReader, xs [][]LightEdge) {
 	for i := range xs {
-		k := r.Int()
+		k := r.Count(2)
 		if k == 0 {
 			xs[i] = nil
 			continue
-		}
-		if k < 0 {
-			return fmt.Errorf("treeroute: builder section row length %d", k)
 		}
 		row := make([]LightEdge, k-1)
 		for j := range row {
@@ -160,7 +156,6 @@ func readLightLists(r *trace.WordReader, xs [][]LightEdge) error {
 		}
 		xs[i] = row
 	}
-	return nil
 }
 
 // RestoreCkpt rebuilds the durable arrays of every tree. The builder must be
@@ -185,18 +180,10 @@ func (b *distBuilder) RestoreCkpt(words []uint64) error {
 		readInts(r, st.heavyBest)
 		readInts(r, st.pjS)
 		readInts(r, st.pjA)
-		if err := readIntLists(r, st.anc); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.lightLocal); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.lightGlobal); err != nil {
-			return err
-		}
-		if err := readLightLists(r, st.fullLight); err != nil {
-			return err
-		}
+		readIntLists(r, st.anc)
+		readLightLists(r, st.lightLocal)
+		readLightLists(r, st.lightGlobal)
+		readLightLists(r, st.fullLight)
 		readInts(r, st.sibIdx)
 		readInts(r, st.lowSum)
 		readInts(r, st.highSum)

@@ -7,13 +7,15 @@ import (
 	"lowmemroute/internal/graph"
 )
 
-// VerifyExact routes every given (src, dst) pair through the scheme and
-// checks the walk is exactly the unique tree path: correct endpoints, every
-// hop a tree edge, and hop count equal to the tree distance (stretch 1).
-func VerifyExact(s *Scheme, t *graph.Tree, pairs [][2]int) error {
+// VerifyExact routes every given (src, dst) pair with walk and checks the
+// walk is exactly the unique tree path: correct endpoints, every hop a tree
+// edge, and hop count equal to the tree distance (stretch 1). walk is a
+// scheme's forwarder — a compiled dataplane.Table's, or
+// BaselineScheme.Route.
+func VerifyExact(walk func(src, dst int) ([]int, error), t *graph.Tree, pairs [][2]int) error {
 	for _, p := range pairs {
 		src, dst := p[0], p[1]
-		path, err := s.Route(src, dst)
+		path, err := walk(src, dst)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"lowmemroute/internal/congest"
 	"lowmemroute/internal/core"
+	"lowmemroute/internal/dataplane"
 	"lowmemroute/internal/graph"
 	"lowmemroute/internal/metrics"
 	"lowmemroute/internal/obs"
@@ -264,9 +265,8 @@ type TreeReport struct {
 // network (Theorem 2: O(1)-word tables, O(log n)-word labels, O(log n)
 // construction memory, Õ(√n + D) rounds).
 type TreeScheme struct {
-	inner  *treeroute.Scheme
+	tab    *dataplane.Table // the scheme compiled as a one-tree cluster forest
 	tree   *Tree
-	up     []float64 // member-indexed up-link weights (graph.Tree.UpWeights)
 	report TreeReport
 }
 
@@ -320,25 +320,18 @@ func BuildTrees(net *Network, trees []*Tree, cfg TreeConfig) ([]*TreeScheme, Tre
 	}
 	out := make([]*TreeScheme, len(trees))
 	for i, t := range trees {
-		out[i] = &TreeScheme{inner: res.Schemes[i], tree: t, up: inner[i].UpWeights(sim.Topo()), report: rep}
+		out[i] = &TreeScheme{tab: dataplane.CompileTree(res.Schemes[i], inner[i], sim.Topo()), tree: t, report: rep}
 	}
 	return out, rep, nil
 }
 
 // Route forwards a message from src to dst along the unique tree path;
-// the Path's Weight sums the tree links it crosses.
+// the Path's Weight sums the tree links it crosses. An endpoint outside
+// the tree is an error.
 func (t *TreeScheme) Route(src, dst int) (Path, error) {
-	nodes, err := t.inner.Route(src, dst)
+	nodes, w, err := t.walk(src, dst, nil)
 	if err != nil {
 		return Path{}, err
-	}
-	var w float64
-	for i := 1; i < len(nodes); i++ {
-		child := nodes[i-1]
-		if t.tree.t.Parent(child) != nodes[i] {
-			child = nodes[i]
-		}
-		w += t.up[t.tree.t.MemberIndex(child)]
 	}
 	return Path{Nodes: nodes, Weight: w}, nil
 }
@@ -346,7 +339,19 @@ func (t *TreeScheme) Route(src, dst int) (Path, error) {
 // RouteAppend is Route with a caller-provided node buffer: the tree path is
 // appended to nodes so repeated queries allocate only on buffer growth.
 func (t *TreeScheme) RouteAppend(src, dst int, nodes []int) ([]int, error) {
-	return t.inner.RouteAppend(src, dst, nodes)
+	nodes, _, err := t.walk(src, dst, nodes)
+	return nodes, err
+}
+
+// walk runs the compiled table's walk after checking both endpoints are
+// tree members: the table answers src == dst for any node, member or not.
+func (t *TreeScheme) walk(src, dst int, nodes []int) ([]int, float64, error) {
+	for _, v := range [2]int{src, dst} {
+		if !t.tree.Member(v) {
+			return nodes, 0, fmt.Errorf("lowmemroute: node %d is not in the tree", v)
+		}
+	}
+	return t.tab.RouteAppend(src, dst, nodes)
 }
 
 // Report returns the construction cost report.
